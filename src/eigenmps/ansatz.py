@@ -105,35 +105,43 @@ def build_mps_ansatz(n: int, k: int) -> AnsatzCircuit:
     return AnsatzCircuit(n, k, blocks, (n - k) * per_block)
 
 
-def block_unitary(params: np.ndarray, width: int) -> DenseUnitary:
+def _pauli_exponential(params: np.ndarray, width: int) -> np.ndarray:
     """exp(-i H) with H = sum_j params_j G_j over the width-w Pauli strings.
 
     The generator is Hermitian, so the exponential is computed exactly by
     eigendecomposition and the result is unitary by construction.
     """
+    h = np.tensordot(params, _generator_stack(width), axes=1)
+    lam, vec = np.linalg.eigh(h)
+    return (vec * np.exp(-1j * lam)) @ vec.conj().T
+
+
+def _product_qubit_matrix(theta1: float, theta2: float) -> np.ndarray:
+    """2x2 unitary sending |0> to cos(theta1)|0> + exp(-i theta2) sin(theta1)|1>."""
+    c, s = math.cos(theta1), math.sin(theta1)
+    phase = complex(math.cos(theta2), -math.sin(theta2))
+    return np.array([[c, -s], [phase * s, phase * c]], dtype=np.complex128)
+
+
+def block_unitary(params: np.ndarray, width: int) -> DenseUnitary:
+    """exp(-i sum_j params_j G_j) as a validated block (see _pauli_exponential)."""
     params = np.asarray(params, dtype=float)
     expected = 4**width - 1
     if params.shape != (expected,):
         raise ShapeError(f"expected {expected} parameters for width {width}, got {params.shape}")
-    h = np.tensordot(params, _generator_stack(width), axes=1)
-    lam, vec = np.linalg.eigh(h)
-    u = (vec * np.exp(-1j * lam)) @ vec.conj().T
-    return DenseUnitary(u)
+    return DenseUnitary(_pauli_exponential(params, width))
 
 
 def product_qubit_unitary(theta1: float, theta2: float) -> DenseUnitary:
-    """2x2 unitary sending |0> to cos(theta1)|0> + exp(-i theta2) sin(theta1)|1>."""
-    c, s = math.cos(theta1), math.sin(theta1)
-    phase = complex(math.cos(theta2), -math.sin(theta2))
-    return DenseUnitary(np.array([[c, -s], [phase * s, phase * c]], dtype=np.complex128))
+    """The product-qubit block as a validated block (see _product_qubit_matrix)."""
+    return DenseUnitary(_product_qubit_matrix(theta1, theta2))
 
 
 def block_matrices(circuit: AnsatzCircuit, theta: np.ndarray) -> list[np.ndarray]:
     """Raw block matrices at theta, skipping per-call unitarity validation.
 
     Both parameterizations are unitary by construction; this is the kernel
-    the optimizer loop runs on.  block_unitaries wraps the same matrices in
-    validated DenseUnitary objects.
+    the optimizer loop runs on.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (circuit.total_params,):
@@ -145,27 +153,26 @@ def block_matrices(circuit: AnsatzCircuit, theta: np.ndarray) -> list[np.ndarray
     for spec in circuit.blocks:
         chunk = theta[spec.param_offset : spec.param_offset + spec.param_len]
         if circuit.k == 0:
-            c, s = math.cos(chunk[0]), math.sin(chunk[0])
-            phase = complex(math.cos(chunk[1]), -math.sin(chunk[1]))
-            mats.append(np.array([[c, -s], [phase * s, phase * c]], dtype=np.complex128))
+            mats.append(_product_qubit_matrix(chunk[0], chunk[1]))
         else:
-            h = np.tensordot(chunk, _generator_stack(spec.window.width), axes=1)
-            lam, vec = np.linalg.eigh(h)
-            mats.append((vec * np.exp(-1j * lam)) @ vec.conj().T)
+            mats.append(_pauli_exponential(chunk, spec.window.width))
     return mats
 
 
-def block_unitaries(circuit: AnsatzCircuit, theta: np.ndarray) -> list[DenseUnitary]:
-    """Materialize every block of the circuit at the given parameter vector."""
-    return [DenseUnitary(m) for m in block_matrices(circuit, theta)]
+def apply_staircase(circuit: AnsatzCircuit, mats: list, amps: np.ndarray, adjoint: bool = False):
+    """U|amps> for U = the blocks mats in staircase order; with adjoint, U^dagger|amps>."""
+    steps = zip(circuit.blocks, mats)
+    if adjoint:
+        steps = ((spec, m.conj().T) for spec, m in zip(reversed(circuit.blocks), reversed(mats)))
+    for spec, m in steps:
+        amps = apply_matrix_raw(amps, circuit.n, m, spec.window.targets)
+    return amps
 
 
 def prepare_state(circuit: AnsatzCircuit, theta: np.ndarray) -> Statevector:
     """U(theta)|0...0>: apply the blocks in staircase order to the zero state."""
     amps = zero_state(circuit.n).amplitudes
-    for spec, m in zip(circuit.blocks, block_matrices(circuit, theta)):
-        amps = apply_matrix_raw(amps, circuit.n, m, spec.window.targets)
-    return Statevector(circuit.n, amps)
+    return Statevector(circuit.n, apply_staircase(circuit, block_matrices(circuit, theta), amps))
 
 
 def pauli_log_coefficients(u: np.ndarray) -> np.ndarray:
@@ -194,7 +201,8 @@ def embed_parameters(
     its first k qubits and the identity on the extra qubit; the final wider
     block absorbs the two remaining previous blocks as a single composed
     unitary.  The lifted circuit prepares the same state as the previous one
-    up to a global phase, so warm-started sweeps can only improve.
+    up to a global phase and to rounding, so warm-started certificates are
+    non-decreasing in k up to the rounding of this lift (a few ulps).
     """
     if prev_circuit.n != circuit.n or prev_circuit.k != circuit.k - 1:
         raise ValidationError(

@@ -14,14 +14,15 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
 from .ansatz import build_mps_ansatz, cnot_lower_bound, cost_estimate, ebit_bound, prepare_state
-from .errors import NumericalError, ValidationError
+from .errors import CapacityError, NumericalError, ValidationError
 from .oracle import (
+    MAX_DENSE_QUBITS,
     BlackBoxUnitary,
     default_sat_time,
     from_dense_matrix,
@@ -31,7 +32,10 @@ from .oracle import (
     planted_unitary,
     read_dense_matrix_json,
 )
+from .oracle import tfi_hamiltonian as _tfi_hamiltonian  # the name bench/ calls and traces
+from .simulator import MAX_QUBITS
 from .tensor import (
+    DEFAULT_SV_TOL,
     entanglement_ebits,
     mps_from_json,
     mps_to_json,
@@ -69,6 +73,15 @@ class RunConfig:
     output_path: str = "run_record.json"
 
 
+def _convert(value, convert, name: str):
+    """convert(value), with a value it cannot convert reported as a ValidationError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if convert is int else "a number"
+        raise ValidationError(f"{name} must be {kind}, got {value!r}") from None
+
+
 def config_from_dict(obj: dict) -> RunConfig:
     """Validate a raw config dict; all checks happen before any compute."""
     if not isinstance(obj, dict):
@@ -76,10 +89,12 @@ def config_from_dict(obj: dict) -> RunConfig:
     for key in ("n", "k_max", "oracle"):
         if key not in obj:
             raise ValidationError(f"config is missing required key {key!r}")
-    n = int(obj["n"])
-    k_max = int(obj["k_max"])
+    n = _convert(obj["n"], int, "n")
+    k_max = _convert(obj["k_max"], int, "k_max")
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
+    if n > MAX_QUBITS:
+        raise CapacityError(f"n={n} exceeds the simulator cap of {MAX_QUBITS} qubits")
     if not 0 <= k_max <= n // 2:
         raise ValidationError(f"k_max={k_max} outside valid range [0, {n // 2}] for n={n}")
 
@@ -89,14 +104,19 @@ def config_from_dict(obj: dict) -> RunConfig:
     kind = raw_oracle["type"]
     if kind not in ORACLE_TYPES:
         raise ValidationError(f"oracle type must be one of {ORACLE_TYPES}, got {kind!r}")
+    if not isinstance(raw_oracle.get("params") or {}, dict):
+        raise ValidationError("oracle.params must be an object")
     oracle = OracleSpec(
         type=kind,
         path=raw_oracle.get("path"),
         preset=raw_oracle.get("preset"),
-        t=None if raw_oracle.get("t") is None else float(raw_oracle["t"]),
+        t=None if raw_oracle.get("t") is None else _convert(raw_oracle["t"], float, "oracle.t"),
         params=dict(raw_oracle.get("params") or {}),
         planted=raw_oracle.get("planted"),
     )
+    for key in ("coupling", "field"):
+        if key in oracle.params:
+            oracle.params[key] = _convert(oracle.params[key], float, f"oracle.params.{key}")
     if kind in ("dimacs", "dense") and not oracle.path:
         raise ValidationError(f"oracle type {kind!r} requires a 'path'")
     if kind == "hamiltonian":
@@ -107,53 +127,58 @@ def config_from_dict(obj: dict) -> RunConfig:
         if oracle.preset == "sat" and not oracle.path:
             raise ValidationError("hamiltonian preset 'sat' requires a 'path'")
     if kind == "planted":
-        planted = oracle.planted
-        if not isinstance(planted, dict):
+        if not isinstance(oracle.planted, dict):
             raise ValidationError("oracle type 'planted' requires a 'planted' object")
+        planted = oracle.planted = dict(oracle.planted)
         for key in ("k", "seed", "phases_seed"):
             if key not in planted:
                 raise ValidationError(f"planted oracle spec is missing {key!r}")
-        if not 0 <= int(planted["k"]) <= n // 2:
+            planted[key] = _convert(planted[key], int, f"planted.{key}")
+        if not 0 <= planted["k"] <= n // 2:
             raise ValidationError(f"planted k={planted['k']} outside [0, {n // 2}]")
+    dense = kind in ("dense", "planted") or (kind == "hamiltonian" and oracle.preset == "tfi")
+    if dense and n > MAX_DENSE_QUBITS:
+        raise CapacityError(f"dense oracles are capped at {MAX_DENSE_QUBITS} qubits, got n={n}")
 
     raw_opt = obj.get("optimizer") or {}
+    if not isinstance(raw_opt, dict):
+        raise ValidationError("optimizer must be an object")
+    seed = _convert(obj.get("seed", 0), int, "seed")
     optimizer = OptimizerConfig(
         method=raw_opt.get("method"),
-        max_iters=int(raw_opt.get("max_iters", 500)),
-        tol_loss=float(raw_opt.get("tol_loss", 1e-10)),
-        fd_step=float(raw_opt.get("fd_step", 1e-5)),
-        restarts=int(raw_opt.get("restarts", 1)),
-        seed=int(obj.get("seed", 0)),
+        max_iters=_convert(raw_opt.get("max_iters", 500), int, "optimizer.max_iters"),
+        tol_loss=_convert(raw_opt.get("tol_loss", 1e-10), float, "optimizer.tol_loss"),
+        fd_step=_convert(raw_opt.get("fd_step", 1e-5), float, "optimizer.fd_step"),
+        restarts=_convert(raw_opt.get("restarts", 1), int, "optimizer.restarts"),
+        seed=seed,
     )
-    shots = int(obj.get("shots", 0))
+    shots = _convert(obj.get("shots", 0), int, "shots")
     if shots < 0:
         raise ValidationError(f"shots must be >= 0, got {shots}")
+    warm_start = obj.get("warm_start", True)
+    if not isinstance(warm_start, bool):
+        raise ValidationError(f"warm_start must be true or false, got {warm_start!r}")
+    cert_tol = _convert(obj.get("cert_tol", 1e-6), float, "cert_tol")
+    if not 0.0 <= cert_tol < 1.0:
+        raise ValidationError(f"cert_tol must lie in [0, 1), got {cert_tol}")
     return RunConfig(
         n=n,
         k_max=k_max,
         oracle=oracle,
         optimizer=optimizer,
         shots=shots,
-        warm_start=bool(obj.get("warm_start", True)),
-        cert_tol=float(obj.get("cert_tol", 1e-6)),
-        seed=int(obj.get("seed", 0)),
+        warm_start=warm_start,
+        cert_tol=cert_tol,
+        seed=seed,
         output_path=str(obj.get("output_path", "run_record.json")),
     )
 
 
 def config_to_dict(config: RunConfig) -> dict:
     """Canonical JSON form of a config; accepted back by config_from_dict."""
-    oracle: dict = {"type": config.oracle.type}
-    if config.oracle.path is not None:
-        oracle["path"] = config.oracle.path
-    if config.oracle.preset is not None:
-        oracle["preset"] = config.oracle.preset
-    if config.oracle.t is not None:
-        oracle["t"] = config.oracle.t
-    if config.oracle.params:
-        oracle["params"] = config.oracle.params
-    if config.oracle.planted is not None:
-        oracle["planted"] = config.oracle.planted
+    oracle = {key: value for key, value in asdict(config.oracle).items() if value is not None}
+    if not oracle["params"]:
+        del oracle["params"]
     optimizer = asdict(config.optimizer)
     del optimizer["seed"]  # the top-level seed is the single source of randomness
     return {
@@ -167,26 +192,6 @@ def config_to_dict(config: RunConfig) -> dict:
         "seed": config.seed,
         "output_path": config.output_path,
     }
-
-
-def _tfi_hamiltonian(n: int, coupling: float, transverse: float) -> np.ndarray:
-    """Transverse-field Ising chain -J sum Z_i Z_{i+1} - h sum X_i, open ends."""
-    eye = np.eye(2)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
-
-    def embed(op: np.ndarray, site: int) -> np.ndarray:
-        m = np.array([[1.0]])
-        for i in range(n):
-            m = np.kron(m, op if i == site else eye)
-        return m
-
-    h = np.zeros((2**n, 2**n))
-    for i in range(n - 1):
-        h -= coupling * embed(sz, i) @ embed(sz, i + 1)
-    for i in range(n):
-        h -= transverse * embed(sx, i)
-    return h
 
 
 def build_oracle(config: RunConfig) -> BlackBoxUnitary:
@@ -208,16 +213,16 @@ def build_oracle(config: RunConfig) -> BlackBoxUnitary:
             raise ValidationError(f"dense oracle is on {oracle.n} qubits, config says {config.n}")
         return oracle
     if spec.type == "hamiltonian":  # preset "tfi"
-        coupling = float(spec.params.get("coupling", 1.0))
-        transverse = float(spec.params.get("field", 1.0))
+        coupling = spec.params.get("coupling", 1.0)
+        transverse = spec.params.get("field", 1.0)
         t = spec.t if spec.t is not None else 1.0
         return from_hamiltonian_evolution(_tfi_hamiltonian(config.n, coupling, transverse), t)
     planted = spec.planted
-    circuit = build_mps_ansatz(config.n, int(planted["k"]))
-    theta_star = np.random.default_rng(int(planted["seed"])).uniform(
+    circuit = build_mps_ansatz(config.n, planted["k"])
+    theta_star = np.random.default_rng(planted["seed"]).uniform(
         0.0, 2.0 * np.pi, circuit.total_params
     )
-    phases = np.random.default_rng(int(planted["phases_seed"])).uniform(
+    phases = np.random.default_rng(planted["phases_seed"]).uniform(
         0.0, 2.0 * np.pi, 2**config.n
     )
     return planted_unitary(circuit, theta_star, phases)
@@ -307,6 +312,8 @@ def main_analyze(path: str, out=sys.stdout) -> dict:
         lead = ", ".join(f"{s:.6f}" for s in data.singular_values[:4])
         print(f"{cut:3d}  {data.rank_eps:4d}  {ebits:9.6f}  {lead}", file=out)
     max_rank = max(c["rank"] for c in cuts)
+    if max_rank == 0:
+        raise ValidationError(f"{path}: zero MPS (no singular value above {DEFAULT_SV_TOL:g})")
     bound = ebit_bound(n, n)  # depth bound with one entangling block per site
     print(f"max rank {max_rank} -> {math.log2(max_rank):.3f} ebits; "
           f"half-chain cap {bound}", file=out)
@@ -393,9 +400,7 @@ def main(argv: list[str] | None = None) -> int:
             config = config_from_dict(raw)
             if args.seed is not None:
                 config.seed = args.seed
-                config.optimizer = OptimizerConfig(
-                    **{**asdict(config.optimizer), "seed": args.seed}
-                )
+                config.optimizer = replace(config.optimizer, seed=args.seed)
             if args.output is not None:
                 config.output_path = args.output
             if args.shots is not None:

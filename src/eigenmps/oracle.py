@@ -5,7 +5,9 @@ Three oracle kinds are supported: dense matrices, diagonal phase oracles
 matrix) and planted oracles, where a known ansatz state is made an exact
 eigenvector by conjugating a diagonal with a fixed unitary completion of
 that state (a Householder reflection mixed with a seeded unitary on the
-orthogonal complement).
+orthogonal complement).  A planted oracle is stored as its dense matrix, so
+every oracle applies either as a matrix-vector product or as a phase
+multiply.
 
 SAT assignment encoding: qubit i in |0> means variable i+1 is FALSE and |1>
 means TRUE, so the all-zero register is the all-false assignment.
@@ -54,19 +56,16 @@ class SatInstance:
 class BlackBoxUnitary:
     """Opaque apply-to-state oracle plus provenance metadata.
 
-    kind is one of "dense", "diagonal-phase" or "planted".  Dense oracles
-    store the full matrix; diagonal oracles only the phase vector; planted
-    oracles store the completion data (Householder vector plus a mixing
-    unitary on the orthogonal complement), the phase vector and the planted
-    eigenvector itself (kept for ground-truth checks).
+    kind is one of "dense", "diagonal-phase" or "planted".  Dense and
+    planted oracles store the full matrix; diagonal oracles only the phase
+    vector.  Planted oracles also keep the planted eigenvector itself, for
+    ground-truth checks.
     """
 
     n: int
     kind: str
     matrix: np.ndarray | None = None
     phases: np.ndarray | None = None
-    householder: np.ndarray | None = None
-    complement: np.ndarray | None = None
     planted_state: np.ndarray | None = None
     provenance: dict = field(default_factory=dict)
 
@@ -113,6 +112,23 @@ def from_hamiltonian_evolution(h: np.ndarray, t: float) -> BlackBoxUnitary:
     lam, vec = np.linalg.eigh(h)
     u = (vec * np.exp(-1j * lam * t)) @ vec.conj().T
     return from_dense_matrix(u, provenance={"type": "hamiltonian", "t": float(t)})
+
+
+def tfi_hamiltonian(n: int, coupling: float, transverse: float) -> np.ndarray:
+    """Transverse-field Ising chain -J sum Z_i Z_{i+1} - h sum X_i, open ends.
+
+    Built from bit patterns: Z_i is the sign of bit i of the basis index, and
+    X_i couples each index to the one with bit i flipped.
+    """
+    dim = 2**n
+    index = np.arange(dim)
+    spins = 1.0 - 2.0 * ((index[:, None] >> (n - 1 - np.arange(n))) & 1)
+    h = np.zeros((dim, dim))
+    for i in range(n - 1):
+        h[index, index] -= coupling * (spins[:, i] * spins[:, i + 1])
+    for i in range(n):
+        h[index, index ^ (1 << (n - 1 - i))] -= transverse
+    return h
 
 
 def clause_violation_counts(sat: SatInstance) -> np.ndarray:
@@ -187,17 +203,21 @@ def planted_unitary(
     diff[0] = 1.0
     diff -= target
     norm = np.linalg.norm(diff)
-    householder = diff / norm if norm > 1e-14 else None
     rng = np.random.default_rng(completion_seed)
     gauss = rng.normal(size=(dim - 1, dim - 1)) + 1j * rng.normal(size=(dim - 1, dim - 1))
     complement, upper = np.linalg.qr(gauss)
-    complement = complement * np.sign(np.diagonal(upper).real)
+    # V = (I - 2 w w^dagger) blkdiag(1, complement), as a rank-1 update
+    v = np.eye(dim, dtype=np.complex128)
+    v[1:, 1:] = complement * np.sign(np.diagonal(upper).real)
+    del gauss, complement, upper  # (2^n - 1)^2 each; free them before the product
+    if norm > 1e-14:
+        w = diff / norm
+        v -= 2.0 * np.outer(w, w.conj() @ v)
+    matrix = (v * np.exp(1j * phases)) @ v.conj().T
     return BlackBoxUnitary(
         circuit.n,
         "planted",
-        phases=np.exp(1j * phases),
-        householder=householder,
-        complement=complement,
+        matrix=matrix,
         planted_state=psi,
         provenance={"type": "planted", "k": circuit.k, "completion_seed": completion_seed},
     )
@@ -212,41 +232,18 @@ def apply(q: BlackBoxUnitary, state: Statevector) -> Statevector:
 
 def apply_raw(q: BlackBoxUnitary, amps: np.ndarray) -> np.ndarray:
     """Oracle action on a raw amplitude array (no shape re-validation)."""
-    if q.kind == "dense":
+    if q.matrix is not None:
         return q.matrix @ amps
-    if q.kind == "diagonal-phase":
-        return q.phases * amps
-    # planted: V diag V^dagger with V = Householder . blkdiag(1, complement)
-    out = _reflect(q.householder, amps)
-    out = np.concatenate(([out[0]], q.complement.conj().T @ out[1:]))
-    out = q.phases * out
-    out = np.concatenate(([out[0]], q.complement @ out[1:]))
-    return _reflect(q.householder, out)
-
-
-def _reflect(w: np.ndarray | None, vec: np.ndarray) -> np.ndarray:
-    """Householder reflection (I - 2 w w^dagger) vec; identity when w is None."""
-    if w is None:
-        return vec.copy()
-    return vec - 2.0 * w * np.vdot(w, vec)
+    return q.phases * amps
 
 
 def to_matrix(q: BlackBoxUnitary) -> np.ndarray:
     """Assemble the dense matrix of any oracle kind (small n only)."""
     if q.n > MAX_DENSE_QUBITS:
         raise CapacityError(f"refusing to materialize a {q.n}-qubit oracle")
-    if q.kind == "dense":
+    if q.matrix is not None:
         return q.matrix.copy()
-    if q.kind == "diagonal-phase":
-        return np.diag(q.phases)
-    dim = 2**q.n
-    mixer = np.eye(dim, dtype=np.complex128)
-    mixer[1:, 1:] = q.complement
-    house = np.eye(dim, dtype=np.complex128)
-    if q.householder is not None:
-        house -= 2.0 * np.outer(q.householder, q.householder.conj())
-    v = house @ mixer
-    return v @ np.diag(q.phases) @ v.conj().T
+    return np.diag(q.phases)
 
 
 def parse_dimacs(text: str) -> SatInstance:

@@ -41,10 +41,6 @@ class Statevector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def tensor_view(self) -> np.ndarray:
-        """View with one axis per qubit; axis i is qubit i."""
-        return self.amplitudes.reshape((2,) * self.n)
-
 
 @dataclass(frozen=True)
 class QubitWindow:
@@ -99,9 +95,6 @@ class DenseUnitary:
     def width(self) -> int:
         return int(self.dim).bit_length() - 1
 
-    def dagger(self) -> "DenseUnitary":
-        return DenseUnitary(self.entries.conj().T)
-
 
 def zero_state(n: int) -> Statevector:
     """The computational basis state |0...0> on n qubits."""
@@ -136,12 +129,17 @@ def apply_block(state: Statevector, u: DenseUnitary, window: QubitWindow) -> Sta
     return Statevector(state.n, apply_matrix_raw(state.amplitudes, state.n, u.entries, window.targets))
 
 
+def qubit_zero_probs(amps: np.ndarray, n: int) -> np.ndarray:
+    """Per-qubit probability of reading 0: sum of |a_x|^2 over bit_i(x) = 0, for every i."""
+    probs = np.abs(amps.reshape((2,) * n)) ** 2
+    return np.array([probs.take(0, axis=i).sum() for i in range(n)])
+
+
 def projector_prob(state: Statevector, i: int) -> float:
-    """Probability of measuring qubit i in |0>: sum of |a_x|^2 over bit_i(x) = 0."""
+    """Probability of measuring qubit i in |0>."""
     if not 0 <= i < state.n:
         raise ValidationError(f"qubit index {i} out of range for n={state.n}")
-    probs = np.abs(state.tensor_view()) ** 2
-    return float(probs.take(0, axis=i).sum())
+    return float(qubit_zero_probs(state.amplitudes, state.n)[i])
 
 
 def inner_product(a: Statevector, b: Statevector) -> complex:

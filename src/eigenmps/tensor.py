@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -59,19 +60,31 @@ class SchmidtData:
     rank_eps: int
 
 
-def statevector_to_mps(state: Statevector, tol: float = 1e-12) -> MpsState:
-    """Left-canonical MPS by sequential reshape + SVD, dropping values <= tol."""
+def _svd_sweep(amps: np.ndarray, n: int, keep_rule: Callable) -> tuple[list, float]:
+    """Left-to-right reshape + SVD sweep keeping keep_rule(s) singular values per bond.
+
+    Returns the site tensors and the largest singular value dropped (0.0 if none).
+    """
     tensors = []
-    vec = state.amplitudes
+    vec = amps
     left = 1
-    for _ in range(state.n - 1):
+    dropped = 0.0
+    for _ in range(n - 1):
         mat = vec.reshape(left * 2, -1)
         u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        keep = max(1, int((s > tol).sum()))
+        keep = keep_rule(s)
+        if keep < s.size:
+            dropped = max(dropped, float(s[keep]))
         tensors.append(u[:, :keep].reshape(left, 2, keep))
         vec = (s[:keep, None] * vh[:keep]).reshape(-1)
         left = keep
     tensors.append(vec.reshape(left, 2, 1))
+    return tensors, dropped
+
+
+def statevector_to_mps(state: Statevector, tol: float = 1e-12) -> MpsState:
+    """Left-canonical MPS by sequential reshape + SVD, dropping values <= tol."""
+    tensors, _ = _svd_sweep(state.amplitudes, state.n, lambda s: max(1, int((s > tol).sum())))
     return MpsState(tuple(tensors))
 
 
@@ -118,21 +131,8 @@ def truncate(mps: MpsState, r: int) -> tuple[MpsState, float, float, float]:
     if not mps.bond_dims or max(mps.bond_dims) <= r:
         return mps, 0.0, 0.0, 0.0
     original = mps_to_statevector(mps)
-    tensors = []
-    vec = original.amplitudes
-    left = 1
-    eps = 0.0
-    for _ in range(mps.n - 1):
-        mat = vec.reshape(left * 2, -1)
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        keep = min(r, s.size)
-        if keep < s.size:
-            eps = max(eps, float(s[keep]))
-        tensors.append(u[:, :keep].reshape(left, 2, keep))
-        vec = (s[:keep, None] * vh[:keep]).reshape(-1)
-        left = keep
-    last = vec.reshape(left, 2, 1)
-    tensors.append(last / np.linalg.norm(last))
+    tensors, eps = _svd_sweep(original.amplitudes, mps.n, lambda s: min(r, s.size))
+    tensors[-1] = tensors[-1] / np.linalg.norm(tensors[-1])
     truncated = MpsState(tuple(tensors))
     fid = abs(np.vdot(original.amplitudes, mps_to_statevector(truncated).amplitudes)) ** 2
     err2 = max(0.0, 1.0 - fid)

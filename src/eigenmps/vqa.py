@@ -18,10 +18,12 @@ from typing import Callable
 import numpy as np
 import scipy.optimize
 
-from .ansatz import AnsatzCircuit, block_matrices, build_mps_ansatz, embed_parameters
+from .ansatz import AnsatzCircuit, apply_staircase, block_matrices, build_mps_ansatz
+from .ansatz import embed_parameters
 from .errors import NumericalError, ShapeError, ValidationError
 from .oracle import BlackBoxUnitary, apply_raw as oracle_apply_raw
-from .simulator import Statevector, apply_matrix_raw, sample_probs, zero_state
+from .simulator import Statevector, sample_probs, zero_state
+from .simulator import qubit_zero_probs as _qubit_zero_probs  # the name bench/ traces
 
 DEFAULT_CLAMP = 1e-12
 DEFAULT_CERT_TOL = 1e-6
@@ -83,23 +85,14 @@ def _evolved_amps(circuit: AnsatzCircuit, theta: np.ndarray, q: BlackBoxUnitary)
     if q.n != circuit.n:
         raise ShapeError(f"oracle on {q.n} qubits does not match circuit with n={circuit.n}")
     mats = block_matrices(circuit, theta)
-    amps = zero_state(circuit.n).amplitudes
-    for spec, m in zip(circuit.blocks, mats):
-        amps = apply_matrix_raw(amps, circuit.n, m, spec.window.targets)
+    amps = apply_staircase(circuit, mats, zero_state(circuit.n).amplitudes)
     amps = oracle_apply_raw(q, amps)
-    for spec, m in zip(reversed(circuit.blocks), reversed(mats)):
-        amps = apply_matrix_raw(amps, circuit.n, m.conj().T, spec.window.targets)
-    return amps
+    return apply_staircase(circuit, mats, amps, adjoint=True)
 
 
 def evolved_state(circuit: AnsatzCircuit, theta: np.ndarray, q: BlackBoxUnitary) -> Statevector:
     """U(theta)^dagger Q U(theta)|0...0>: prepare, apply the oracle, unprepare."""
     return Statevector(circuit.n, _evolved_amps(circuit, theta, q))
-
-
-def _qubit_zero_probs(amps: np.ndarray, n: int) -> np.ndarray:
-    probs = np.abs(amps.reshape((2,) * n)) ** 2
-    return np.array([probs.take(0, axis=i).sum() for i in range(n)])
 
 
 def probabilities(circuit: AnsatzCircuit, theta: np.ndarray, q: BlackBoxUnitary) -> np.ndarray:
@@ -141,13 +134,17 @@ def loss_gradient_fd(
     if step <= 0:
         raise ValidationError(f"step must be > 0, got {step}")
     theta = np.asarray(theta, dtype=float)
+    objective = _make_objective(circuit, q, clamp, shots=0, shot_rng=None)
+    return central_difference(objective, theta, step)
+
+
+def central_difference(fn: Callable, theta: np.ndarray, step: float) -> np.ndarray:
+    """(fn(theta + step e_j) - fn(theta - step e_j)) / (2 step) for every coordinate j."""
     grad = np.empty_like(theta)
     for j in range(theta.size):
         probe = np.zeros_like(theta)
         probe[j] = step
-        up = log_likelihood(probabilities(circuit, theta + probe, q), clamp)
-        down = log_likelihood(probabilities(circuit, theta - probe, q), clamp)
-        grad[j] = (up - down) / (2.0 * step)
+        grad[j] = (fn(theta + probe) - fn(theta - probe)) / (2.0 * step)
     return grad
 
 
@@ -259,19 +256,10 @@ def _fd_gradient_descent(tracked, theta0, config, trace):
     faster than a fixed step on these smooth trigonometric landscapes while
     remaining a pure gradient method.
     """
-
-    def gradient(point):
-        grad = np.empty_like(point)
-        for j in range(point.size):
-            probe = np.zeros_like(point)
-            probe[j] = config.fd_step
-            grad[j] = (tracked(point + probe) - tracked(point - probe)) / (2 * config.fd_step)
-        return grad
-
     theta = theta0.copy()
     loss = tracked(theta)
     trace.append((0, tracked.best_loss))
-    grad = gradient(theta)
+    grad = central_difference(tracked, theta, config.fd_step)
     gnorm = float(np.linalg.norm(grad))
     if gnorm == 0.0:
         return
@@ -305,7 +293,7 @@ def _fd_gradient_descent(tracked, theta0, config, trace):
             continue
         stalls = 0
         new_theta, new_loss = accepted
-        new_grad = gradient(new_theta)
+        new_grad = central_difference(tracked, new_theta, config.fd_step)
         s = new_theta - theta
         y = new_grad - grad
         sy = float(s @ y)
@@ -353,7 +341,8 @@ def run_sweep(
     Every budget runs config.restarts independent minimizations; with
     warm_start the first restart is seeded by lifting the previous budget's
     optimum, and that lifted point also stays in the candidate pool, so the
-    reported certificate sequence is non-decreasing in k.  Per budget, the
+    reported certificate sequence is non-decreasing in k up to the rounding
+    of the warm-start lift (a few ulps).  Per budget, the
     candidate with the highest certificate wins (ties break to lower loss).
     The sweep stops as soon as a budget reaches certificate >= 1 - cert_tol.
 

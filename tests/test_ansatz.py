@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eigenmps.ansatz import (
+    block_matrices,
     block_unitary,
     build_mps_ansatz,
     cnot_lower_bound,
@@ -84,6 +85,20 @@ def test_block_unitary_lipschitz(seed, width):
     delta = rng.normal(size=m) * 0.1
     diff = block_unitary(theta + delta, width).entries - block_unitary(theta, width).entries
     assert np.linalg.norm(diff) <= 2 * np.abs(delta).sum() + 1e-12
+
+
+def test_block_wrappers_equal_block_matrices():
+    rng = np.random.default_rng(12)
+    for n, k in [(4, 0), (4, 1), (6, 2)]:
+        c = build_mps_ansatz(n, k)
+        theta = rng.uniform(0, 2 * np.pi, c.total_params)
+        for spec, m in zip(c.blocks, block_matrices(c, theta)):
+            chunk = theta[spec.param_offset : spec.param_offset + spec.param_len]
+            if k == 0:
+                u = product_qubit_unitary(chunk[0], chunk[1])
+            else:
+                u = block_unitary(chunk, spec.window.width)
+            assert np.array_equal(u.entries, m)
 
 
 def test_prepare_state_zero_params():

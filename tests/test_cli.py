@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -5,9 +6,12 @@ import pytest
 
 from conftest import ghz
 from eigenmps import cli
-from eigenmps.errors import NumericalError, ValidationError
+from eigenmps.errors import CapacityError, NumericalError, ValidationError
 from eigenmps.simulator import zero_state
-from eigenmps.tensor import mps_to_json, statevector_to_mps
+from eigenmps.tensor import MpsState, mps_to_json, statevector_to_mps
+
+TFI = {"type": "hamiltonian", "preset": "tfi", "params": {"coupling": 1.0, "field": 1.0}}
+PLANTED = {"type": "planted", "planted": {"k": 1, "seed": 5, "phases_seed": 6}}
 
 
 def write_json(path, obj):
@@ -197,3 +201,100 @@ def test_reproducible_records(tmp_path):
             entry.pop("wall_time_s")
         records.append(cli.dumps_json(rec))
     assert records[0] == records[1]
+
+
+def run_exit_code(tmp_path, capsys, raw):
+    """Exit code of `eigenmps run` on the config, after checking stderr has no traceback."""
+    code = cli.main(["run", write_json(tmp_path / "config.json", raw)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+@pytest.mark.parametrize("bad", ["ten", [1]])
+@pytest.mark.parametrize(
+    "oracle, path",
+    [
+        (None, ("n",)),
+        (None, ("k_max",)),
+        (None, ("seed",)),
+        (None, ("shots",)),
+        (None, ("cert_tol",)),
+        (None, ("oracle", "t")),
+        (None, ("optimizer", "max_iters")),
+        (None, ("optimizer", "tol_loss")),
+        (None, ("optimizer", "fd_step")),
+        (None, ("optimizer", "restarts")),
+        (TFI, ("oracle", "params", "coupling")),
+        (TFI, ("oracle", "params", "field")),
+        (PLANTED, ("oracle", "planted", "k")),
+        (PLANTED, ("oracle", "planted", "seed")),
+        (PLANTED, ("oracle", "planted", "phases_seed")),
+    ],
+)
+def test_non_numeric_config_field_exits_2(tmp_path, capsys, oracle, path, bad):
+    raw = base_config(tmp_path)
+    if oracle is not None:
+        raw["oracle"] = copy.deepcopy(oracle)
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = bad
+    code, err = run_exit_code(tmp_path, capsys, raw)
+    assert code == 2
+    assert path[-1] in err
+
+
+@pytest.mark.parametrize("warm_start", ["false", 0, None])
+def test_warm_start_must_be_a_json_boolean(tmp_path, capsys, warm_start):
+    code, err = run_exit_code(tmp_path, capsys, base_config(tmp_path, warm_start=warm_start))
+    assert code == 2
+    assert "warm_start" in err
+
+
+@pytest.mark.parametrize("cert_tol", [-1, -1e-9, 1.0, 2.5])
+def test_cert_tol_outside_unit_interval_exits_2(tmp_path, capsys, cert_tol):
+    code, err = run_exit_code(tmp_path, capsys, base_config(tmp_path, cert_tol=cert_tol))
+    assert code == 2
+    assert "cert_tol" in err
+
+
+@pytest.mark.parametrize("kind", ["dimacs", "sat", "tfi", "planted", "dense"])
+def test_capacity_checked_before_any_allocation(tmp_path, capsys, kind):
+    # n=64 is far past every cap: the oracle build would ask for 2^64 entries
+    cnf = tmp_path / "wide.cnf"
+    cnf.write_text("p cnf 64 1\n1 -64 0\n")
+    oracle = {
+        "dimacs": {"type": "dimacs", "path": str(cnf)},
+        "sat": {"type": "hamiltonian", "preset": "sat", "path": str(cnf)},
+        "tfi": TFI,
+        "planted": PLANTED,
+        "dense": {"type": "dense", "path": identity_oracle_file(tmp_path, 1)},
+    }[kind]
+    raw = base_config(tmp_path, oracle=oracle)
+    raw["n"] = 64
+    code, err = run_exit_code(tmp_path, capsys, raw)
+    assert code == 2
+    assert "cap" in err
+
+
+@pytest.mark.parametrize("oracle", [TFI, PLANTED, "dense"])
+def test_dense_oracles_capped_at_config_time(tmp_path, oracle):
+    # config_from_dict builds nothing, so a dense-only size is safe to pass here
+    raw = base_config(tmp_path)
+    raw["n"] = 13
+    if oracle != "dense":
+        raw["oracle"] = oracle
+    with pytest.raises(CapacityError):
+        cli.config_from_dict(raw)
+    raw["oracle"] = {"type": "dimacs", "path": "wide.cnf"}
+    assert cli.config_from_dict(raw).n == 13
+
+
+def test_analyze_zero_mps_exits_2(tmp_path, capsys):
+    zero = MpsState((np.zeros((1, 2, 1)),) * 3)
+    path = write_json(tmp_path / "zero.json", mps_to_json(zero))
+    assert cli.main(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "zero" in err

@@ -15,6 +15,7 @@ from eigenmps.oracle import (
     parse_dimacs,
     planted_unitary,
     read_dense_matrix_json,
+    tfi_hamiltonian,
     to_matrix,
 )
 from eigenmps.simulator import Statevector, zero_state
@@ -87,8 +88,8 @@ def test_hamiltonian_rejects_non_hermitian():
         from_hamiltonian_evolution(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
-def _tfi_dense(n: int) -> np.ndarray:
-    # independent Kronecker construction of -sum Z Z - sum X
+def _tfi_dense(n: int, coupling: float = 1.0, transverse: float = 1.0) -> np.ndarray:
+    # independent Kronecker construction of -J sum Z Z - h sum X
     eye, sx, sz = np.eye(2), np.array([[0, 1], [1, 0]]), np.diag([1, -1])
 
     def op_at(op, site):
@@ -99,9 +100,9 @@ def _tfi_dense(n: int) -> np.ndarray:
 
     h = np.zeros((2**n, 2**n))
     for i in range(n - 1):
-        h -= op_at(sz, i) @ op_at(sz, i + 1)
+        h -= coupling * (op_at(sz, i) @ op_at(sz, i + 1))
     for i in range(n):
-        h -= op_at(sx, i)
+        h -= transverse * op_at(sx, i)
     return h
 
 
@@ -113,6 +114,13 @@ def test_tfi_ground_state_is_oracle_eigenvector():
     ground = Statevector(4, vec[:, 0])
     out = apply(q, ground)
     assert np.max(np.abs(out.amplitudes - np.exp(-1j * lam[0] * t) * ground.amplitudes)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
+@pytest.mark.parametrize("coupling, transverse", [(1.0, 1.0), (0.3, 0.7), (0.1, 1.3), (-0.4, 0.0)])
+def test_tfi_hamiltonian_equals_kronecker_construction(n, coupling, transverse):
+    h = tfi_hamiltonian(n, coupling, transverse)
+    assert h.tobytes() == _tfi_dense(n, coupling, transverse).tobytes()
 
 
 def test_spectral_consistency_all_eigenpairs():

@@ -11,6 +11,7 @@ from eigenmps.simulator import (
     apply_block,
     inner_product,
     projector_prob,
+    qubit_zero_probs,
     sample_probs,
     zero_state,
 )
@@ -79,6 +80,12 @@ def test_projector_prob_examples():
         assert projector_prob(ghz(3), i) == pytest.approx(0.5)
     with pytest.raises(ValidationError):
         projector_prob(plus, 1)
+
+
+def test_projector_prob_equals_marginals():
+    state = random_state(np.random.default_rng(13), 5)
+    marginals = qubit_zero_probs(state.amplitudes, 5)
+    assert [projector_prob(state, i) for i in range(5)] == marginals.tolist()
 
 
 def test_inner_product_examples():

@@ -10,6 +10,7 @@ from eigenmps.oracle import apply as oracle_apply, from_dense_matrix, planted_un
 from eigenmps.simulator import inner_product
 from eigenmps.vqa import (
     OptimizerConfig,
+    central_difference,
     certificate,
     log_likelihood,
     loss_gradient_fd,
@@ -122,6 +123,28 @@ def test_gradient_zero_on_flat_landscape():
     theta = np.random.default_rng(2).uniform(0, 2 * np.pi, circuit.total_params)
     grad = loss_gradient_fd(circuit, theta, q, step=1e-5)
     assert np.max(np.abs(grad)) < 1e-9
+
+
+def test_loss_gradient_fd_is_the_central_difference_of_the_loss():
+    circuit = build_mps_ansatz(3, 1)
+    q = from_dense_matrix(random_unitary(np.random.default_rng(14), 8))
+    theta = np.random.default_rng(15).uniform(0, 2 * np.pi, circuit.total_params)
+
+    def loss(t):
+        return log_likelihood(probabilities(circuit, t, q))
+
+    def cubic(t):
+        return float(t[0] ** 3 + 2.0 * t[0] * t[1])
+
+    expected = central_difference(loss, theta, 1e-5)
+    assert np.array_equal(loss_gradient_fd(circuit, theta, q, step=1e-5), expected)
+    # up before down, divided by 2 step
+    x = np.array([0.3, -1.1])
+    for j in range(2):
+        e = np.zeros(2)
+        e[j] = 1e-3
+        up, down = cubic(x + e), cubic(x - e)
+        assert central_difference(cubic, x, 1e-3)[j] == (up - down) / (2.0 * 1e-3)
 
 
 def test_gradient_matches_analytic_model():
