@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -36,11 +36,10 @@ from .oracle import tfi_hamiltonian as _tfi_hamiltonian  # the name bench/ calls
 from .simulator import MAX_QUBITS
 from .tensor import (
     DEFAULT_SV_TOL,
-    entanglement_ebits,
     mps_from_json,
     mps_to_json,
     mps_to_statevector,
-    schmidt_spectrum,
+    schmidt_spectra,
     statevector_to_mps,
     truncate,
 )
@@ -69,7 +68,6 @@ class RunConfig:
     shots: int = 0
     warm_start: bool = True
     cert_tol: float = 1e-6
-    seed: int = 0
     output_path: str = "run_record.json"
 
 
@@ -106,9 +104,12 @@ def config_from_dict(obj: dict) -> RunConfig:
         raise ValidationError(f"oracle type must be one of {ORACLE_TYPES}, got {kind!r}")
     if not isinstance(raw_oracle.get("params") or {}, dict):
         raise ValidationError("oracle.params must be an object")
+    path = raw_oracle.get("path")
+    if path is not None and not isinstance(path, str):
+        raise ValidationError(f"oracle.path must be a string, got {path!r}")
     oracle = OracleSpec(
         type=kind,
-        path=raw_oracle.get("path"),
+        path=path,
         preset=raw_oracle.get("preset"),
         t=None if raw_oracle.get("t") is None else _convert(raw_oracle["t"], float, "oracle.t"),
         params=dict(raw_oracle.get("params") or {}),
@@ -143,14 +144,13 @@ def config_from_dict(obj: dict) -> RunConfig:
     raw_opt = obj.get("optimizer") or {}
     if not isinstance(raw_opt, dict):
         raise ValidationError("optimizer must be an object")
-    seed = _convert(obj.get("seed", 0), int, "seed")
     optimizer = OptimizerConfig(
         method=raw_opt.get("method"),
         max_iters=_convert(raw_opt.get("max_iters", 500), int, "optimizer.max_iters"),
         tol_loss=_convert(raw_opt.get("tol_loss", 1e-10), float, "optimizer.tol_loss"),
         fd_step=_convert(raw_opt.get("fd_step", 1e-5), float, "optimizer.fd_step"),
         restarts=_convert(raw_opt.get("restarts", 1), int, "optimizer.restarts"),
-        seed=seed,
+        seed=_convert(obj.get("seed", 0), int, "seed"),
     )
     shots = _convert(obj.get("shots", 0), int, "shots")
     if shots < 0:
@@ -161,6 +161,9 @@ def config_from_dict(obj: dict) -> RunConfig:
     cert_tol = _convert(obj.get("cert_tol", 1e-6), float, "cert_tol")
     if not 0.0 <= cert_tol < 1.0:
         raise ValidationError(f"cert_tol must lie in [0, 1), got {cert_tol}")
+    output_path = obj.get("output_path", "run_record.json")
+    if not isinstance(output_path, str):
+        raise ValidationError(f"output_path must be a string, got {output_path!r}")
     return RunConfig(
         n=n,
         k_max=k_max,
@@ -169,8 +172,7 @@ def config_from_dict(obj: dict) -> RunConfig:
         shots=shots,
         warm_start=warm_start,
         cert_tol=cert_tol,
-        seed=seed,
-        output_path=str(obj.get("output_path", "run_record.json")),
+        output_path=output_path,
     )
 
 
@@ -180,7 +182,7 @@ def config_to_dict(config: RunConfig) -> dict:
     if not oracle["params"]:
         del oracle["params"]
     optimizer = asdict(config.optimizer)
-    del optimizer["seed"]  # the top-level seed is the single source of randomness
+    seed = optimizer.pop("seed")  # written as the top-level seed
     return {
         "n": config.n,
         "k_max": config.k_max,
@@ -189,7 +191,7 @@ def config_to_dict(config: RunConfig) -> dict:
         "shots": config.shots,
         "warm_start": config.warm_start,
         "cert_tol": config.cert_tol,
-        "seed": config.seed,
+        "seed": seed,
         "output_path": config.output_path,
     }
 
@@ -248,12 +250,8 @@ def main_run(config: RunConfig) -> dict:
     bond_rank = 2**best.k
     total_iters = sum(len(entry.trace) for entry in result.per_k)
     audit = [
-        {
-            "cut": cut,
-            "rank": schmidt_spectrum(best_state, cut).rank_eps,
-            "ebits": entanglement_ebits(best_state, cut),
-        }
-        for cut in range(1, config.n)
+        {"cut": data.cut, "rank": data.rank_eps, "ebits": data.ebits}
+        for data in schmidt_spectra(best_state)
     ]
     entangling_blocks = config.n - best.k if best.k >= 1 else 0
     record = {
@@ -305,13 +303,12 @@ def main_analyze(path: str, out=sys.stdout) -> dict:
     cuts = []
     print(f"{n}-qubit MPS, bond dimensions {list(mps.bond_dims)}", file=out)
     print("cut  rank  ebits      leading singular values", file=out)
-    for cut in range(1, n):
-        data = schmidt_spectrum(state, cut)
-        ebits = entanglement_ebits(state, cut)
-        cuts.append({"cut": cut, "rank": data.rank_eps, "ebits": ebits})
+    for data in schmidt_spectra(state):
+        cuts.append({"cut": data.cut, "rank": data.rank_eps, "ebits": data.ebits})
         lead = ", ".join(f"{s:.6f}" for s in data.singular_values[:4])
-        print(f"{cut:3d}  {data.rank_eps:4d}  {ebits:9.6f}  {lead}", file=out)
-    max_rank = max(c["rank"] for c in cuts)
+        print(f"{data.cut:3d}  {data.rank_eps:4d}  {data.ebits:9.6f}  {lead}", file=out)
+    # with no cut (n=1) the state's one singular value is its norm
+    max_rank = max((c["rank"] for c in cuts), default=int(state.norm() > DEFAULT_SV_TOL))
     if max_rank == 0:
         raise ValidationError(f"{path}: zero MPS (no singular value above {DEFAULT_SV_TOL:g})")
     bound = ebit_bound(n, n)  # depth bound with one entangling block per site
@@ -397,14 +394,10 @@ def main(argv: list[str] | None = None) -> int:
                     raise ValidationError(
                         f"{args.config}: invalid JSON at line {exc.lineno}: {exc.msg}"
                     ) from exc
+            overrides = {"seed": args.seed, "shots": args.shots, "output_path": args.output}
+            if isinstance(raw, dict):  # anything else is rejected by config_from_dict
+                raw.update((key, value) for key, value in overrides.items() if value is not None)
             config = config_from_dict(raw)
-            if args.seed is not None:
-                config.seed = args.seed
-                config.optimizer = replace(config.optimizer, seed=args.seed)
-            if args.output is not None:
-                config.output_path = args.output
-            if args.shots is not None:
-                config.shots = args.shots
             record = main_run(config)
             for entry in record["per_k"]:
                 print(

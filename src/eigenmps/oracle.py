@@ -1,13 +1,13 @@
 """Black-box unitary construction and application.
 
-Three oracle kinds are supported: dense matrices, diagonal phase oracles
-(stored as a 2^n phase vector, applied elementwise without ever building a
-matrix) and planted oracles, where a known ansatz state is made an exact
-eigenvector by conjugating a diagonal with a fixed unitary completion of
-that state (a Householder reflection mixed with a seeded unitary on the
-orthogonal complement).  A planted oracle is stored as its dense matrix, so
-every oracle applies either as a matrix-vector product or as a phase
-multiply.
+An oracle is one of two kinds: "dense", a 2^n x 2^n matrix applied as a
+matrix-vector product, or "diagonal-phase", a 2^n phase vector applied
+elementwise without ever building a matrix.  Dense oracles come from matrix
+files, Hamiltonian evolution and planted constructions; SAT instances give
+diagonal-phase oracles.  A planted oracle makes a known ansatz state an
+exact eigenvector by conjugating a diagonal with a fixed unitary completion
+of that state (a Householder reflection mixed with a seeded unitary on the
+orthogonal complement); it is a dense oracle that also keeps that state.
 
 SAT assignment encoding: qubit i in |0> means variable i+1 is FALSE and |1>
 means TRUE, so the all-zero register is the all-false assignment.
@@ -16,7 +16,7 @@ means TRUE, so the all-zero register is the all-false assignment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,12 +54,12 @@ class SatInstance:
 
 @dataclass(frozen=True)
 class BlackBoxUnitary:
-    """Opaque apply-to-state oracle plus provenance metadata.
+    """Opaque apply-to-state oracle on n qubits.
 
-    kind is one of "dense", "diagonal-phase" or "planted".  Dense and
-    planted oracles store the full matrix; diagonal oracles only the phase
-    vector.  Planted oracles also keep the planted eigenvector itself, for
-    ground-truth checks.
+    kind is the one discriminator: a "dense" oracle holds exactly its
+    2^n x 2^n matrix, a "diagonal-phase" oracle exactly its 2^n unit-modulus
+    phase vector.  A planted oracle is dense and also keeps the planted
+    eigenvector itself in planted_state, for ground-truth checks.
     """
 
     n: int
@@ -67,18 +67,28 @@ class BlackBoxUnitary:
     matrix: np.ndarray | None = None
     phases: np.ndarray | None = None
     planted_state: np.ndarray | None = None
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("dense", "diagonal-phase", "planted"):
-            raise ValidationError(f"unknown oracle kind {self.kind!r}")
-        if self.phases is not None:
+        dim = 2**self.n
+        if self.kind == "dense":
+            name, held, other, shape = "matrix", self.matrix, self.phases, (dim, dim)
+        elif self.kind == "diagonal-phase":
+            name, held, other, shape = "phases", self.phases, self.matrix, (dim,)
+        else:
+            raise ValidationError(
+                f"oracle kind must be 'dense' or 'diagonal-phase', got {self.kind!r}"
+            )
+        if held is None or other is not None:
+            raise ValidationError(f"a {self.kind!r} oracle holds its {name} and nothing else")
+        if np.shape(held) != shape:
+            raise ShapeError(f"{name} must have shape {shape} for n={self.n}, got {np.shape(held)}")
+        if self.kind == "diagonal-phase":
             drift = float(np.max(np.abs(np.abs(self.phases) - 1.0)))
             if drift > 1e-12:
                 raise ValidationError(f"phase vector is not unit modulus: drift {drift:.3e}")
 
 
-def from_dense_matrix(m: np.ndarray, provenance: dict | None = None) -> BlackBoxUnitary:
+def from_dense_matrix(m: np.ndarray) -> BlackBoxUnitary:
     """Oracle whose apply is the matrix-vector product with m."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -95,7 +105,7 @@ def from_dense_matrix(m: np.ndarray, provenance: dict | None = None) -> BlackBox
             f"oracle matrix is not unitary: Frobenius defect {defect:.3e} > "
             f"{ORACLE_UNITARY_TOL:g}"
         )
-    return BlackBoxUnitary(n, "dense", matrix=m, provenance=provenance or {"type": "dense"})
+    return BlackBoxUnitary(n, "dense", matrix=m)
 
 
 def from_hamiltonian_evolution(h: np.ndarray, t: float) -> BlackBoxUnitary:
@@ -111,7 +121,7 @@ def from_hamiltonian_evolution(h: np.ndarray, t: float) -> BlackBoxUnitary:
         )
     lam, vec = np.linalg.eigh(h)
     u = (vec * np.exp(-1j * lam * t)) @ vec.conj().T
-    return from_dense_matrix(u, provenance={"type": "hamiltonian", "t": float(t)})
+    return from_dense_matrix(u)
 
 
 def tfi_hamiltonian(n: int, coupling: float, transverse: float) -> np.ndarray:
@@ -155,19 +165,8 @@ def from_sat_instance(sat: SatInstance, t: float) -> BlackBoxUnitary:
     """Diagonal-phase oracle exp(-i t c(x)) counting unsatisfied clauses."""
     if sat.num_vars < 1:
         raise ValidationError("SAT oracle needs at least one variable")
-    counts = clause_violation_counts(sat)
-    phases = np.exp(-1j * t * counts)
-    return BlackBoxUnitary(
-        sat.num_vars,
-        "diagonal-phase",
-        phases=phases,
-        provenance={
-            "type": "sat",
-            "t": float(t),
-            "num_clauses": len(sat.clauses),
-            "clause_counts": counts,
-        },
-    )
+    phases = np.exp(-1j * t * clause_violation_counts(sat))
+    return BlackBoxUnitary(sat.num_vars, "diagonal-phase", phases=phases)
 
 
 def planted_unitary(
@@ -214,13 +213,7 @@ def planted_unitary(
         w = diff / norm
         v -= 2.0 * np.outer(w, w.conj() @ v)
     matrix = (v * np.exp(1j * phases)) @ v.conj().T
-    return BlackBoxUnitary(
-        circuit.n,
-        "planted",
-        matrix=matrix,
-        planted_state=psi,
-        provenance={"type": "planted", "k": circuit.k, "completion_seed": completion_seed},
-    )
+    return BlackBoxUnitary(circuit.n, "dense", matrix=matrix, planted_state=psi)
 
 
 def apply(q: BlackBoxUnitary, state: Statevector) -> Statevector:
@@ -232,7 +225,7 @@ def apply(q: BlackBoxUnitary, state: Statevector) -> Statevector:
 
 def apply_raw(q: BlackBoxUnitary, amps: np.ndarray) -> np.ndarray:
     """Oracle action on a raw amplitude array (no shape re-validation)."""
-    if q.matrix is not None:
+    if q.kind == "dense":
         return q.matrix @ amps
     return q.phases * amps
 
@@ -241,7 +234,7 @@ def to_matrix(q: BlackBoxUnitary) -> np.ndarray:
     """Assemble the dense matrix of any oracle kind (small n only)."""
     if q.n > MAX_DENSE_QUBITS:
         raise CapacityError(f"refusing to materialize a {q.n}-qubit oracle")
-    if q.matrix is not None:
+    if q.kind == "dense":
         return q.matrix.copy()
     return np.diag(q.phases)
 

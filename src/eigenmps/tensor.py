@@ -59,6 +59,13 @@ class SchmidtData:
     singular_values: np.ndarray
     rank_eps: int
 
+    @property
+    def ebits(self) -> float:
+        """Von Neumann entropy -sum sigma^2 log2 sigma^2 of the spectrum."""
+        p = self.singular_values**2
+        p = p[p > 0]
+        return float(-(p * np.log2(p)).sum())
+
 
 def _svd_sweep(amps: np.ndarray, n: int, keep_rule: Callable) -> tuple[list, float]:
     """Left-to-right reshape + SVD sweep keeping keep_rule(s) singular values per bond.
@@ -105,17 +112,19 @@ def schmidt_spectrum(state: Statevector, cut: int, tol: float = DEFAULT_SV_TOL) 
     return SchmidtData(cut, s, int((s > tol).sum()))
 
 
+def schmidt_spectra(state: Statevector, tol: float = DEFAULT_SV_TOL) -> list[SchmidtData]:
+    """Schmidt data of each of the n-1 contiguous cuts, one SVD per cut."""
+    return [schmidt_spectrum(state, cut, tol) for cut in range(1, state.n)]
+
+
 def rank(state: Statevector, tol: float = DEFAULT_SV_TOL) -> int:
-    """Maximum Schmidt number over the n-1 contiguous cuts."""
-    return max(schmidt_spectrum(state, cut, tol).rank_eps for cut in range(1, state.n))
+    """Maximum Schmidt number over the n-1 contiguous cuts; 1 when there is no cut."""
+    return max((data.rank_eps for data in schmidt_spectra(state, tol)), default=1)
 
 
 def entanglement_ebits(state: Statevector, cut: int) -> float:
-    """Von Neumann entropy -sum sigma^2 log2 sigma^2 of the cut's Schmidt spectrum."""
-    s = schmidt_spectrum(state, cut).singular_values
-    p = s**2
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
+    """Von Neumann entropy of the cut's Schmidt spectrum, in ebits."""
+    return schmidt_spectrum(state, cut).ebits
 
 
 def truncate(mps: MpsState, r: int) -> tuple[MpsState, float, float, float]:

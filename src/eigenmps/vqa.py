@@ -62,6 +62,8 @@ class OptimizerConfig:
             raise ValidationError(f"fd_step must be > 0, got {self.fd_step}")
         if self.restarts < 1:
             raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -115,12 +117,11 @@ def objective_report(
     circuit: AnsatzCircuit,
     theta: np.ndarray,
     q: BlackBoxUnitary,
-    clamp: float = DEFAULT_CLAMP,
 ) -> ObjectiveReport:
     """Probabilities, loss and certificate from a single state construction."""
     amps = _evolved_amps(circuit, theta, q)
     p = _qubit_zero_probs(amps, circuit.n)
-    return ObjectiveReport(p, log_likelihood(p, clamp), float(abs(amps[0]) ** 2))
+    return ObjectiveReport(p, log_likelihood(p), float(abs(amps[0]) ** 2))
 
 
 def loss_gradient_fd(
@@ -128,13 +129,12 @@ def loss_gradient_fd(
     theta: np.ndarray,
     q: BlackBoxUnitary,
     step: float,
-    clamp: float = DEFAULT_CLAMP,
 ) -> np.ndarray:
     """Central finite difference of the loss, coordinate by coordinate."""
     if step <= 0:
         raise ValidationError(f"step must be > 0, got {step}")
     theta = np.asarray(theta, dtype=float)
-    objective = _make_objective(circuit, q, clamp, shots=0, shot_rng=None)
+    objective = _make_objective(circuit, q, shots=0, shot_rng=None)
     return central_difference(objective, theta, step)
 
 
@@ -309,18 +309,18 @@ def _fd_gradient_descent(tracked, theta0, config, trace):
             window_best = tracked.best_loss
 
 
-def _make_objective(circuit, q, clamp, shots, shot_rng):
+def _make_objective(circuit, q, shots, shot_rng):
     if shots:
 
         def shot_objective(theta):
             state = evolved_state(circuit, theta, q)
             seed = int(shot_rng.integers(0, 2**31))
-            return log_likelihood(sample_probs(state, shots, seed), clamp)
+            return log_likelihood(sample_probs(state, shots, seed))
 
         return shot_objective
 
     def exact_objective(theta):
-        return log_likelihood(probabilities(circuit, theta, q), clamp)
+        return log_likelihood(probabilities(circuit, theta, q))
 
     return exact_objective
 
@@ -334,7 +334,6 @@ def run_sweep(
     warm_start: bool = True,
     cert_tol: float = DEFAULT_CERT_TOL,
     shots: int = 0,
-    clamp: float = DEFAULT_CLAMP,
 ) -> SweepResult:
     """Optimize the ansatz family for each ebit budget k = 0 .. k_max.
 
@@ -365,7 +364,7 @@ def run_sweep(
         lifted = None
         if warm_start and previous is not None:
             lifted = embed_parameters(previous[0], previous[1], circuit)
-            report = objective_report(circuit, lifted, q, clamp)
+            report = objective_report(circuit, lifted, q)
             candidates.append((lifted, report.loss, report.certificate, ((0, report.loss),)))
         restarts = 0 if candidates and candidates[0][2] >= 1.0 - cert_tol else config.restarts
         for restart in range(restarts):
@@ -380,9 +379,9 @@ def run_sweep(
                 seed=int(np.random.default_rng((config.seed, k, restart, 7)).integers(2**31)),
             )
             shot_rng = np.random.default_rng((config.seed, k, restart, 3)) if shots else None
-            objective = _make_objective(circuit, q, clamp, shots, shot_rng)
+            objective = _make_objective(circuit, q, shots, shot_rng)
             theta_best, trace = minimize(objective, theta0, run_config)
-            report = objective_report(circuit, theta_best, q, clamp)
+            report = objective_report(circuit, theta_best, q)
             candidates.append((theta_best, report.loss, report.certificate, tuple(trace)))
             if report.certificate >= 1.0 - cert_tol:
                 break

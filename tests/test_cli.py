@@ -1,11 +1,13 @@
 import copy
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import ghz
-from eigenmps import cli
+from eigenmps import cli, tensor
 from eigenmps.errors import CapacityError, NumericalError, ValidationError
 from eigenmps.simulator import zero_state
 from eigenmps.tensor import MpsState, mps_to_json, statevector_to_mps
@@ -298,3 +300,139 @@ def test_analyze_zero_mps_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "zero" in err
+
+
+@pytest.mark.parametrize(
+    "overrides, argv, fragment",
+    [
+        ({"seed": -1}, [], "seed"),
+        ({}, ["--seed", "-1"], "seed"),
+        ({}, ["--shots", "-3"], "shots"),
+    ],
+)
+def test_negative_seed_or_shots_exits_2_before_the_oracle_is_built(
+    tmp_path, capsys, monkeypatch, overrides, argv, fragment
+):
+    monkeypatch.setattr(cli, "build_oracle", lambda config: pytest.fail("oracle was built"))
+    config_path = write_json(tmp_path / "config.json", base_config(tmp_path, **overrides))
+    assert cli.main(["run", config_path, *argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert fragment in err
+
+
+def test_cli_overrides_pass_config_validation(tmp_path, capsys):
+    config_path = write_json(tmp_path / "config.json", base_config(tmp_path, shots=64))
+    out = tmp_path / "shots.json"
+    assert cli.main(["run", config_path, "--shots", "0", "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["config"]["shots"] == 0
+
+
+@pytest.mark.parametrize(
+    "mutate, fragment",
+    [
+        (lambda raw: raw["oracle"].update(path=3), "oracle.path"),
+        (lambda raw: raw["oracle"].update(type="dimacs", path=["x.cnf"]), "oracle.path"),
+        (lambda raw: raw.update(output_path=None), "output_path"),
+        (lambda raw: raw.update(output_path=7), "output_path"),
+    ],
+)
+def test_non_string_paths_exit_2(tmp_path, capsys, monkeypatch, mutate, fragment):
+    monkeypatch.chdir(tmp_path)
+    raw = base_config(tmp_path)
+    mutate(raw)
+    code, err = run_exit_code(tmp_path, capsys, raw)
+    assert code == 2
+    assert fragment in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "identity.json"]
+
+
+def one_qubit_mps_file(tmp_path, amps):
+    return write_json(tmp_path / "one.json", mps_to_json(MpsState((np.reshape(amps, (1, 2, 1)),))))
+
+
+def test_analyze_one_qubit_mps(tmp_path, capsys):
+    path = one_qubit_mps_file(tmp_path, [0.6, 0.8])
+    assert cli.main(["analyze", path]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = cli.main_analyze(path, out=io.StringIO())
+    assert report["cuts"] == []
+    assert report["truncation"] == [{"r": 1, "eps": 0.0, "err1": 0.0, "err2": 0.0}]
+
+
+def test_analyze_one_qubit_zero_mps_exits_2(tmp_path, capsys):
+    assert cli.main(["analyze", one_qubit_mps_file(tmp_path, [0.0, 0.0])]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "zero" in err
+
+
+def test_run_and_analyze_take_one_schmidt_spectrum_per_cut(tmp_path, monkeypatch):
+    cuts = []
+    spectrum = tensor.schmidt_spectrum
+
+    def counted(state, cut, *args):
+        cuts.append(cut)
+        return spectrum(state, cut, *args)
+
+    # count calls through either module's name, wherever the audit loop lives
+    monkeypatch.setattr(tensor, "schmidt_spectrum", counted)
+    monkeypatch.setattr(cli, "schmidt_spectrum", counted, raising=False)
+    config = cli.config_from_dict(base_config(tmp_path, n=4))
+    cli.main_run(config)
+    assert cuts == [1, 2, 3]
+    cuts.clear()
+    cli.main_analyze(config.output_path, out=io.StringIO())
+    assert cuts == [1, 2, 3]
+
+
+CONFIG_KEYS = st.sampled_from(
+    ["n", "k_max", "oracle", "type", "path", "preset", "t", "params", "coupling", "field",
+     "planted", "k", "seed", "phases_seed", "optimizer", "method", "max_iters", "tol_loss",
+     "fd_step", "restarts", "shots", "warm_start", "cert_tol", "output_path"]
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(CONFIG_KEYS | st.text(max_size=8), inner, max_size=6),
+    max_leaves=20,
+)
+
+
+def objects_in(value):
+    """value and every JSON object nested in it."""
+    if isinstance(value, dict):
+        yield value
+        for inner in value.values():
+            yield from objects_in(inner)
+    elif isinstance(value, list):
+        for inner in value:
+            yield from objects_in(inner)
+
+
+@pytest.fixture(scope="module")
+def fuzz_bases(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    return [base_config(tmp_path), base_config(tmp_path, oracle=TFI),
+            base_config(tmp_path, oracle=PLANTED)]
+
+
+@given(data=st.data())
+def test_config_from_dict_raises_only_validation_errors(fuzz_bases, data):
+    if data.draw(st.booleans(), label="free-form"):
+        raw = data.draw(JSON_VALUES, label="raw")
+    else:
+        raw = copy.deepcopy(data.draw(st.sampled_from(fuzz_bases), label="base"))
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            target = data.draw(st.sampled_from(list(objects_in(raw))), label="object")
+            key = data.draw(CONFIG_KEYS, label="key")
+            if data.draw(st.booleans(), label="delete"):
+                target.pop(key, None)
+            else:
+                target[key] = data.draw(JSON_VALUES, label="value")
+    try:
+        config = cli.config_from_dict(raw)
+    except ValidationError:
+        return
+    assert isinstance(config, cli.RunConfig)

@@ -5,6 +5,7 @@ from conftest import random_state, random_unitary
 from eigenmps.ansatz import build_mps_ansatz
 from eigenmps.errors import DimacsError, ShapeError, ValidationError
 from eigenmps.oracle import (
+    BlackBoxUnitary,
     SatInstance,
     apply,
     clause_violation_counts,
@@ -308,3 +309,32 @@ def test_every_oracle_kind_preserves_norm():
         for _ in range(5):
             state = random_state(rng, 3)
             assert abs(apply(q, state).norm() - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "kind, fields",
+    [
+        ("dense", {}),
+        ("dense", {"phases": np.ones(2)}),
+        ("dense", {"matrix": np.eye(2), "phases": np.ones(2)}),
+        ("dense", {"matrix": np.eye(4)}),
+        ("diagonal-phase", {}),
+        ("diagonal-phase", {"matrix": np.eye(2)}),
+        ("diagonal-phase", {"phases": np.ones(2), "matrix": np.eye(2)}),
+        ("diagonal-phase", {"phases": np.ones(4)}),
+        ("planted", {"matrix": np.eye(2)}),
+    ],
+)
+def test_oracle_kind_must_match_its_one_field(kind, fields):
+    with pytest.raises(ValidationError):
+        BlackBoxUnitary(1, kind, **fields)
+
+
+def test_oracle_kinds_are_dense_and_diagonal_phase():
+    assert BlackBoxUnitary(1, "dense", matrix=np.eye(2)).kind == "dense"
+    assert BlackBoxUnitary(1, "diagonal-phase", phases=np.ones(2)).kind == "diagonal-phase"
+    circuit = build_mps_ansatz(3, 1)
+    rng = np.random.default_rng(12)
+    q = planted_unitary(circuit, rng.uniform(0, 2 * np.pi, circuit.total_params), np.zeros(8))
+    assert q.kind == "dense"
+    assert q.planted_state.shape == (8,)

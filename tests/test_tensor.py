@@ -13,6 +13,7 @@ from eigenmps.tensor import (
     mps_to_json,
     mps_to_statevector,
     rank,
+    schmidt_spectra,
     schmidt_spectrum,
     statevector_to_mps,
     truncate,
@@ -185,3 +186,17 @@ def test_mps_from_json_rejects_malformed():
 def test_mps_state_validates_bonds():
     with pytest.raises(Exception):
         MpsState((np.zeros((1, 2, 3)), np.zeros((2, 2, 1))))
+
+
+def test_rank_without_a_cut_is_one():
+    assert schmidt_spectra(Statevector(1, np.array([0.6, 0.8]))) == []
+    assert rank(Statevector(1, np.array([0.6, 0.8]))) == 1
+
+
+def test_schmidt_spectra_carry_each_cut_ebits():
+    state = random_state(np.random.default_rng(21), 4)
+    spectra = schmidt_spectra(state)
+    assert [data.cut for data in spectra] == [1, 2, 3]
+    for data in spectra:
+        assert data.ebits == entanglement_ebits(state, data.cut)
+        assert np.array_equal(data.singular_values, schmidt_spectrum(state, data.cut).singular_values)

@@ -241,6 +241,8 @@ def test_optimizer_config_validation():
         OptimizerConfig(fd_step=0.0)
     with pytest.raises(ValidationError):
         OptimizerConfig(restarts=0)
+    with pytest.raises(ValidationError, match="seed"):
+        OptimizerConfig(seed=-1)
 
 
 def test_run_sweep_identity_terminates_at_zero():
