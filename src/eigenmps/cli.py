@@ -72,12 +72,15 @@ class RunConfig:
 
 
 def _convert(value, convert, name: str):
-    """convert(value), with a value it cannot convert reported as a ValidationError."""
+    """convert(value); a value it cannot convert, or a non-finite float, is a ValidationError."""
     try:
-        return convert(value)
+        result = convert(value)
     except (TypeError, ValueError, OverflowError):
         kind = "an integer" if convert is int else "a number"
         raise ValidationError(f"{name} must be {kind}, got {value!r}") from None
+    if convert is float and not math.isfinite(result):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return result
 
 
 def config_from_dict(obj: dict) -> RunConfig:

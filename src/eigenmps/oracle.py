@@ -84,7 +84,7 @@ class BlackBoxUnitary:
             raise ShapeError(f"{name} must have shape {shape} for n={self.n}, got {np.shape(held)}")
         if self.kind == "diagonal-phase":
             drift = float(np.max(np.abs(np.abs(self.phases) - 1.0)))
-            if drift > 1e-12:
+            if not drift <= 1e-12:
                 raise ValidationError(f"phase vector is not unit modulus: drift {drift:.3e}")
 
 
@@ -100,7 +100,7 @@ def from_dense_matrix(m: np.ndarray) -> BlackBoxUnitary:
     if n > MAX_DENSE_QUBITS:
         raise CapacityError(f"dense oracle capped at {MAX_DENSE_QUBITS} qubits, got n={n}")
     defect = float(np.linalg.norm(m.conj().T @ m - np.eye(dim)))
-    if defect > ORACLE_UNITARY_TOL:
+    if not defect <= ORACLE_UNITARY_TOL:
         raise ValidationError(
             f"oracle matrix is not unitary: Frobenius defect {defect:.3e} > "
             f"{ORACLE_UNITARY_TOL:g}"
@@ -114,7 +114,7 @@ def from_hamiltonian_evolution(h: np.ndarray, t: float) -> BlackBoxUnitary:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ShapeError(f"Hamiltonian must be square, got shape {h.shape}")
     defect = float(np.linalg.norm(h - h.conj().T))
-    if defect > ORACLE_UNITARY_TOL:
+    if not defect <= ORACLE_UNITARY_TOL:
         raise ValidationError(
             f"Hamiltonian is not Hermitian: Frobenius defect {defect:.3e} > "
             f"{ORACLE_UNITARY_TOL:g}"

@@ -82,7 +82,7 @@ class DenseUnitary:
         if dim < 2 or dim & (dim - 1):
             raise ShapeError(f"block dimension must be a power of two >= 2, got {dim}")
         defect = float(np.linalg.norm(m.conj().T @ m - np.eye(dim)))
-        if defect > UNITARY_TOL:
+        if not defect <= UNITARY_TOL:
             raise ValidationError(
                 f"matrix is not unitary: Frobenius defect {defect:.3e} > {UNITARY_TOL:g}"
             )

@@ -185,5 +185,7 @@ def mps_from_json(obj: dict) -> MpsState:
             raise ValidationError(
                 f"tensor at site {i}: {re.size} values do not fill shape {shape}"
             )
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):
+            raise ValidationError(f"tensor at site {i} holds a non-finite value")
         tensors.append((re + 1j * im).reshape(shape))
     return MpsState(tuple(tensors))

@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -62,6 +63,8 @@ def test_config_round_trip(tmp_path):
         (lambda c: c.update(oracle={"type": "hamiltonian", "preset": "hubbard"}), "preset"),
         (lambda c: c.update(oracle={"type": "planted", "planted": {"k": 1}}), "seed"),
         (lambda c: c.update(shots=-1), "shots"),
+        (lambda c: c["optimizer"].update(method=["spsa"]), "method"),
+        (lambda c: c["optimizer"].update(tol_loss=-1e-9), "tol_loss"),
     ],
 )
 def test_config_validation_errors(tmp_path, mutate, fragment):
@@ -213,38 +216,69 @@ def run_exit_code(tmp_path, capsys, raw):
     return code, err
 
 
-@pytest.mark.parametrize("bad", ["ten", [1]])
-@pytest.mark.parametrize(
-    "oracle, path",
-    [
-        (None, ("n",)),
-        (None, ("k_max",)),
-        (None, ("seed",)),
-        (None, ("shots",)),
-        (None, ("cert_tol",)),
-        (None, ("oracle", "t")),
-        (None, ("optimizer", "max_iters")),
-        (None, ("optimizer", "tol_loss")),
-        (None, ("optimizer", "fd_step")),
-        (None, ("optimizer", "restarts")),
-        (TFI, ("oracle", "params", "coupling")),
-        (TFI, ("oracle", "params", "field")),
-        (PLANTED, ("oracle", "planted", "k")),
-        (PLANTED, ("oracle", "planted", "seed")),
-        (PLANTED, ("oracle", "planted", "phases_seed")),
-    ],
-)
-def test_non_numeric_config_field_exits_2(tmp_path, capsys, oracle, path, bad):
-    raw = base_config(tmp_path)
+# every numeric config field, with the oracle spec that reads it (None: the base's)
+NUMERIC_FIELDS = [
+    (None, ("n",)),
+    (None, ("k_max",)),
+    (None, ("seed",)),
+    (None, ("shots",)),
+    (None, ("cert_tol",)),
+    (None, ("oracle", "t")),
+    (None, ("optimizer", "max_iters")),
+    (None, ("optimizer", "tol_loss")),
+    (None, ("optimizer", "fd_step")),
+    (None, ("optimizer", "restarts")),
+    (TFI, ("oracle", "params", "coupling")),
+    (TFI, ("oracle", "params", "field")),
+    (PLANTED, ("oracle", "planted", "k")),
+    (PLANTED, ("oracle", "planted", "seed")),
+    (PLANTED, ("oracle", "planted", "phases_seed")),
+]
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def with_field(raw, oracle, path, value):
+    """raw with the given oracle spec (if any) and the field at path set to value."""
     if oracle is not None:
         raw["oracle"] = copy.deepcopy(oracle)
     target = raw
     for key in path[:-1]:
         target = target[key]
-    target[path[-1]] = bad
+    target[path[-1]] = value
+    return raw
+
+
+@pytest.mark.parametrize("bad", ["ten", [1]])
+@pytest.mark.parametrize("oracle, path", NUMERIC_FIELDS)
+def test_non_numeric_config_field_exits_2(tmp_path, capsys, oracle, path, bad):
+    raw = with_field(base_config(tmp_path), oracle, path, bad)
     code, err = run_exit_code(tmp_path, capsys, raw)
     assert code == 2
     assert path[-1] in err
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("oracle, path", NUMERIC_FIELDS)
+def test_non_finite_config_field_exits_2_before_the_oracle_is_built(
+    tmp_path, capsys, monkeypatch, oracle, path, bad
+):
+    # json.dumps writes NaN and Infinity, which Python's JSON reader accepts
+    monkeypatch.setattr(cli, "build_oracle", lambda config: pytest.fail("oracle was built"))
+    raw = with_field(base_config(tmp_path), oracle, path, bad)
+    code, err = run_exit_code(tmp_path, capsys, raw)
+    assert code == 2
+    assert path[-1] in err
+
+
+def test_nan_in_dense_matrix_file_exits_2(tmp_path, capsys):
+    matrix = np.eye(8).tolist()
+    matrix[3][3] = math.nan
+    nan_file = {"n": 3, "re": matrix, "im": np.zeros((8, 8)).tolist()}
+    path = write_json(tmp_path / "nan.json", nan_file)
+    raw = base_config(tmp_path, oracle={"type": "dense", "path": path})
+    code, err = run_exit_code(tmp_path, capsys, raw)
+    assert code == 2
+    assert "not unitary" in err
 
 
 @pytest.mark.parametrize("warm_start", ["false", 0, None])
@@ -361,6 +395,14 @@ def test_analyze_one_qubit_mps(tmp_path, capsys):
     assert report["truncation"] == [{"r": 1, "eps": 0.0, "err1": 0.0, "err2": 0.0}]
 
 
+@pytest.mark.parametrize("amps", [[math.nan, 0.0], [1.0, math.inf]])
+def test_analyze_non_finite_mps_exits_2(tmp_path, capsys, amps):
+    assert cli.main(["analyze", one_qubit_mps_file(tmp_path, amps)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "non-finite" in err
+
+
 def test_analyze_one_qubit_zero_mps_exits_2(tmp_path, capsys):
     assert cli.main(["analyze", one_qubit_mps_file(tmp_path, [0.0, 0.0])]) == 2
     err = capsys.readouterr().err
@@ -392,8 +434,12 @@ CONFIG_KEYS = st.sampled_from(
      "planted", "k", "seed", "phases_seed", "optimizer", "method", "max_iters", "tol_loss",
      "fd_step", "restarts", "shots", "warm_start", "cert_tol", "output_path"]
 )
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(NON_FINITE)
+    | st.text(max_size=8)
+)
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    JSON_SCALARS,
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(CONFIG_KEYS | st.text(max_size=8), inner, max_size=6),
     max_leaves=20,
@@ -430,9 +476,24 @@ def test_config_from_dict_raises_only_validation_errors(fuzz_bases, data):
             if data.draw(st.booleans(), label="delete"):
                 target.pop(key, None)
             else:
-                target[key] = data.draw(JSON_VALUES, label="value")
+                # half scalars: most config fields take one
+                target[key] = data.draw(JSON_SCALARS | JSON_VALUES, label="value")
     try:
         config = cli.config_from_dict(raw)
     except ValidationError:
         return
     assert isinstance(config, cli.RunConfig)
+    # a non-finite float in any numeric field must have raised (ints cannot hold one)
+    floats = [config.cert_tol, config.oracle.t, config.optimizer.tol_loss, config.optimizer.fd_step]
+    floats += [config.oracle.params[key] for key in ("coupling", "field")
+               if key in config.oracle.params]
+    assert all(math.isfinite(x) for x in floats if x is not None)
+
+
+@given(data=st.data())
+def test_non_finite_float_in_any_numeric_field_raises(fuzz_bases, data):
+    oracle, path = data.draw(st.sampled_from(NUMERIC_FIELDS), label="field")
+    value = data.draw(st.sampled_from(NON_FINITE), label="value")
+    raw = with_field(copy.deepcopy(fuzz_bases[0]), oracle, path, value)
+    with pytest.raises(ValidationError, match=path[-1]):
+        cli.config_from_dict(raw)

@@ -62,6 +62,25 @@ def test_dense_rejects_non_unitary_with_defect():
         from_dense_matrix(np.diag([1.0, 2.0]))
 
 
+NAN_2X2 = np.array([[np.nan, 0.0], [0.0, 1.0]])
+
+
+def test_dense_rejects_nan_entries():
+    with pytest.raises(ValidationError, match="unitary"):
+        from_dense_matrix(NAN_2X2)
+
+
+@pytest.mark.parametrize("h, t", [(NAN_2X2, 1.0), (np.diag([1.0, -1.0]), np.nan)])
+def test_hamiltonian_evolution_rejects_nan(h, t):
+    with pytest.raises(ValidationError):
+        from_hamiltonian_evolution(h, t)
+
+
+def test_diagonal_phase_oracle_rejects_nan_phase():
+    with pytest.raises(ValidationError, match="unit modulus"):
+        BlackBoxUnitary(1, "diagonal-phase", phases=np.array([1.0, np.nan]))
+
+
 def test_dense_vs_matvec():
     rng = np.random.default_rng(17)
     m = random_unitary(rng, 16)

@@ -64,6 +64,11 @@ def test_non_unitary_rejected():
         DenseUnitary(np.array([[1, 0], [0, 2]]))
 
 
+def test_nan_block_rejected():
+    with pytest.raises(ValidationError, match="unitary"):
+        DenseUnitary(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
 def test_window_validation():
     with pytest.raises(ValidationError):
         QubitWindow((1, 1))

@@ -232,6 +232,20 @@ def test_spsa_and_fd_methods_run():
         assert trace
 
 
+def test_fd_gradient_descent_at_zero_gradient():
+    config = OptimizerConfig(method="fd-gradient-descent", max_iters=50, seed=0)
+    # a constant objective has an exactly zero central difference
+    theta, trace = minimize(lambda t: 0.25, np.array([0.1, 0.2]), config)
+    assert trace and trace[0] == (0, 0.25)
+    assert theta.tolist() == [0.1, 0.2]
+    # the identity oracle's loss is flat: the first budget reaches the certificate
+    result = run_sweep(4, 2, from_dense_matrix(np.eye(16)), config)
+    entry = result.per_k[0]
+    assert entry.trace and entry.trace[0][0] == 0 and entry.trace[0][1] < 1e-12
+    assert result.terminated_early and len(result.per_k) == 1
+    assert entry.k == 0 and entry.certificate == pytest.approx(1.0)
+
+
 def test_optimizer_config_validation():
     with pytest.raises(ValidationError):
         OptimizerConfig(method="annealing")
@@ -239,6 +253,10 @@ def test_optimizer_config_validation():
         OptimizerConfig(max_iters=0)
     with pytest.raises(ValidationError):
         OptimizerConfig(fd_step=0.0)
+    with pytest.raises(ValidationError):
+        OptimizerConfig(fd_step=math.nan)
+    with pytest.raises(ValidationError, match="tol_loss"):
+        OptimizerConfig(tol_loss=-1e-9)
     with pytest.raises(ValidationError):
         OptimizerConfig(restarts=0)
     with pytest.raises(ValidationError, match="seed"):
