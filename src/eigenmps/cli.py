@@ -14,7 +14,8 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .oracle import (
 from .oracle import tfi_hamiltonian as _tfi_hamiltonian  # the name bench/ calls and traces
 from .simulator import MAX_QUBITS
 from .tensor import (
-    DEFAULT_SV_TOL,
     mps_from_json,
     mps_to_json,
     mps_to_statevector,
@@ -43,10 +43,12 @@ from .tensor import (
     statevector_to_mps,
     truncate,
 )
-from .vqa import OptimizerConfig, run_sweep
+from .vqa import DEFAULT_CERT_TOL, OptimizerConfig, run_sweep
 
 ORACLE_TYPES = ("dimacs", "dense", "hamiltonian", "planted")
-HAMILTONIAN_PRESETS = ("tfi", "sat")
+HAMILTONIAN_PRESETS = ("tfi",)
+# analyze takes a normalized state; records come out normalized to about 1e-15
+MPS_NORM_TOL = 1e-8
 
 
 @dataclass
@@ -66,32 +68,69 @@ class RunConfig:
     oracle: OracleSpec
     optimizer: OptimizerConfig
     shots: int = 0
-    warm_start: bool = True
-    cert_tol: float = 1e-6
+    cert_tol: float = DEFAULT_CERT_TOL
     output_path: str = "run_record.json"
 
 
+# The config schema: the keys each JSON object accepts, by its dotted path ("" is the top).
+CONFIG_SCHEMA = {
+    "": (*(f.name for f in fields(RunConfig)), "seed"),  # the seed goes to the optimizer
+    "oracle": tuple(f.name for f in fields(OracleSpec)),
+    "oracle.params": ("coupling", "field"),
+    "oracle.planted": ("k", "seed", "phases_seed"),
+    "optimizer": tuple(f.name for f in fields(OptimizerConfig) if f.name != "seed"),
+}
+# What each scalar key converts to; the other keys are checked against their choices.
+FIELD_TYPES = {
+    **dict.fromkeys("n k_max shots seed max_iters restarts k phases_seed".split(), int),
+    **dict.fromkeys("cert_tol t tol_loss coupling field".split(), float),
+    **dict.fromkeys("path output_path".split(), str),
+}
+
+
 def _convert(value, convert, name: str):
-    """convert(value); a value it cannot convert, or a non-finite float, is a ValidationError."""
+    """convert(value) for an int, float or str field; a bool, a non-string for str, a value
+    convert rejects or a non-finite float is a ValidationError."""
+    kind = {int: "an integer", float: "a number", str: "a string"}[convert]
+    if isinstance(value, bool) or (convert is str and not isinstance(value, str)):
+        raise ValidationError(f"{name} must be {kind}, got {value!r}")
     try:
         result = convert(value)
     except (TypeError, ValueError, OverflowError):
-        kind = "an integer" if convert is int else "a number"
         raise ValidationError(f"{name} must be {kind}, got {value!r}") from None
     if convert is float and not math.isfinite(result):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return result
 
 
-def config_from_dict(obj: dict) -> RunConfig:
-    """Validate a raw config dict; all checks happen before any compute."""
+def _entries(obj, path: str = "") -> dict:
+    """obj's entries, checked against CONFIG_SCHEMA[path] and converted, nested objects too."""
     if not isinstance(obj, dict):
-        raise ValidationError(f"config must be a JSON object, got {type(obj).__name__}")
+        what = path or "config"
+        raise ValidationError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    entries = {}
+    for key, value in obj.items():
+        name = f"{path}.{key}" if path else key
+        if key not in CONFIG_SCHEMA[path]:
+            raise ValidationError(f"unknown config key {name!r}")
+        if name in CONFIG_SCHEMA:
+            value = _entries(value, name)
+        elif key in FIELD_TYPES and not (value is None and key in ("path", "t")):  # None: default
+            value = _convert(value, FIELD_TYPES[key], name)
+        entries[key] = value
+    return entries
+
+
+def config_from_dict(obj: dict) -> RunConfig:
+    """Validate a raw config dict; all checks happen before any compute.
+
+    Only the keys present are converted, so each default lives in its dataclass.
+    """
+    top = _entries(obj)
     for key in ("n", "k_max", "oracle"):
-        if key not in obj:
+        if key not in top:
             raise ValidationError(f"config is missing required key {key!r}")
-    n = _convert(obj["n"], int, "n")
-    k_max = _convert(obj["k_max"], int, "k_max")
+    n, k_max = top["n"], top["k_max"]
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if n > MAX_QUBITS:
@@ -99,84 +138,40 @@ def config_from_dict(obj: dict) -> RunConfig:
     if not 0 <= k_max <= n // 2:
         raise ValidationError(f"k_max={k_max} outside valid range [0, {n // 2}] for n={n}")
 
-    raw_oracle = obj["oracle"]
-    if not isinstance(raw_oracle, dict) or "type" not in raw_oracle:
-        raise ValidationError("oracle must be an object with a 'type' key")
-    kind = raw_oracle["type"]
+    kind = top["oracle"].get("type")
     if kind not in ORACLE_TYPES:
         raise ValidationError(f"oracle type must be one of {ORACLE_TYPES}, got {kind!r}")
-    if not isinstance(raw_oracle.get("params") or {}, dict):
-        raise ValidationError("oracle.params must be an object")
-    path = raw_oracle.get("path")
-    if path is not None and not isinstance(path, str):
-        raise ValidationError(f"oracle.path must be a string, got {path!r}")
-    oracle = OracleSpec(
-        type=kind,
-        path=path,
-        preset=raw_oracle.get("preset"),
-        t=None if raw_oracle.get("t") is None else _convert(raw_oracle["t"], float, "oracle.t"),
-        params=dict(raw_oracle.get("params") or {}),
-        planted=raw_oracle.get("planted"),
-    )
-    for key in ("coupling", "field"):
-        if key in oracle.params:
-            oracle.params[key] = _convert(oracle.params[key], float, f"oracle.params.{key}")
+    oracle = top["oracle"] = OracleSpec(**top["oracle"])
     if kind in ("dimacs", "dense") and not oracle.path:
         raise ValidationError(f"oracle type {kind!r} requires a 'path'")
-    if kind == "hamiltonian":
-        if oracle.preset not in HAMILTONIAN_PRESETS:
-            raise ValidationError(
-                f"hamiltonian preset must be one of {HAMILTONIAN_PRESETS}, got {oracle.preset!r}"
-            )
-        if oracle.preset == "sat" and not oracle.path:
-            raise ValidationError("hamiltonian preset 'sat' requires a 'path'")
+    if kind == "hamiltonian" and oracle.preset not in HAMILTONIAN_PRESETS:
+        raise ValidationError(
+            f"hamiltonian preset must be one of {HAMILTONIAN_PRESETS}, got {oracle.preset!r}"
+        )
     if kind == "planted":
-        if not isinstance(oracle.planted, dict):
+        planted = oracle.planted
+        if planted is None:
             raise ValidationError("oracle type 'planted' requires a 'planted' object")
-        planted = oracle.planted = dict(oracle.planted)
-        for key in ("k", "seed", "phases_seed"):
+        for key in CONFIG_SCHEMA["oracle.planted"]:
             if key not in planted:
                 raise ValidationError(f"planted oracle spec is missing {key!r}")
-            planted[key] = _convert(planted[key], int, f"planted.{key}")
-        if not 0 <= planted["k"] <= n // 2:
+            if planted[key] < 0:  # numpy seeds must be non-negative
+                raise ValidationError(f"oracle.planted.{key} must be >= 0, got {planted[key]}")
+        if planted["k"] > n // 2:
             raise ValidationError(f"planted k={planted['k']} outside [0, {n // 2}]")
-    dense = kind in ("dense", "planted") or (kind == "hamiltonian" and oracle.preset == "tfi")
-    if dense and n > MAX_DENSE_QUBITS:
+    if kind != "dimacs" and n > MAX_DENSE_QUBITS:
         raise CapacityError(f"dense oracles are capped at {MAX_DENSE_QUBITS} qubits, got n={n}")
 
-    raw_opt = obj.get("optimizer") or {}
-    if not isinstance(raw_opt, dict):
-        raise ValidationError("optimizer must be an object")
-    optimizer = OptimizerConfig(
-        method=raw_opt.get("method"),
-        max_iters=_convert(raw_opt.get("max_iters", 500), int, "optimizer.max_iters"),
-        tol_loss=_convert(raw_opt.get("tol_loss", 1e-10), float, "optimizer.tol_loss"),
-        fd_step=_convert(raw_opt.get("fd_step", 1e-5), float, "optimizer.fd_step"),
-        restarts=_convert(raw_opt.get("restarts", 1), int, "optimizer.restarts"),
-        seed=_convert(obj.get("seed", 0), int, "seed"),
-    )
-    shots = _convert(obj.get("shots", 0), int, "shots")
-    if shots < 0:
-        raise ValidationError(f"shots must be >= 0, got {shots}")
-    warm_start = obj.get("warm_start", True)
-    if not isinstance(warm_start, bool):
-        raise ValidationError(f"warm_start must be true or false, got {warm_start!r}")
-    cert_tol = _convert(obj.get("cert_tol", 1e-6), float, "cert_tol")
-    if not 0.0 <= cert_tol < 1.0:
-        raise ValidationError(f"cert_tol must lie in [0, 1), got {cert_tol}")
-    output_path = obj.get("output_path", "run_record.json")
-    if not isinstance(output_path, str):
-        raise ValidationError(f"output_path must be a string, got {output_path!r}")
-    return RunConfig(
-        n=n,
-        k_max=k_max,
-        oracle=oracle,
-        optimizer=optimizer,
-        shots=shots,
-        warm_start=warm_start,
-        cert_tol=cert_tol,
-        output_path=output_path,
-    )
+    optimizer = top.get("optimizer", {})
+    if "seed" in top:
+        optimizer["seed"] = top.pop("seed")
+    top["optimizer"] = OptimizerConfig(**optimizer)
+    config = RunConfig(**top)
+    if config.shots < 0:
+        raise ValidationError(f"shots must be >= 0, got {config.shots}")
+    if not 0.0 <= config.cert_tol < 1.0:
+        raise ValidationError(f"cert_tol must lie in [0, 1), got {config.cert_tol}")
+    return config
 
 
 def config_to_dict(config: RunConfig) -> dict:
@@ -192,18 +187,31 @@ def config_to_dict(config: RunConfig) -> dict:
         "oracle": oracle,
         "optimizer": optimizer,
         "shots": config.shots,
-        "warm_start": config.warm_start,
         "cert_tol": config.cert_tol,
         "seed": seed,
         "output_path": config.output_path,
     }
 
 
+def read_input(path: str, parse: Callable[[str], object] = json.loads, encoding: str = "utf-8"):
+    """parse() of the text of the file at path: every file the CLI reads comes in here.
+
+    Text that does not decode or JSON that does not parse is a ValidationError
+    naming the path; a file that cannot be opened or read stays an OSError.
+    """
+    with open(path, "r", encoding=encoding) as fh:
+        try:
+            return parse(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not {encoding} text at byte {exc.start}") from exc
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
 def build_oracle(config: RunConfig) -> BlackBoxUnitary:
     spec = config.oracle
-    if spec.type == "dimacs" or (spec.type == "hamiltonian" and spec.preset == "sat"):
-        with open(spec.path, "r", encoding="ascii") as fh:
-            sat = parse_dimacs(fh.read())
+    if spec.type == "dimacs":
+        sat = read_input(spec.path, parse_dimacs, encoding="ascii")
         if sat.num_vars != config.n:
             raise ValidationError(
                 f"DIMACS instance has {sat.num_vars} variables but config says n={config.n}"
@@ -211,9 +219,7 @@ def build_oracle(config: RunConfig) -> BlackBoxUnitary:
         t = spec.t if spec.t is not None else default_sat_time(len(sat.clauses))
         return from_sat_instance(sat, t)
     if spec.type == "dense":
-        with open(spec.path, "r", encoding="ascii") as fh:
-            matrix = read_dense_matrix_json(json.load(fh))
-        oracle = from_dense_matrix(matrix)
+        oracle = from_dense_matrix(read_dense_matrix_json(read_input(spec.path)))
         if oracle.n != config.n:
             raise ValidationError(f"dense oracle is on {oracle.n} qubits, config says {config.n}")
         return oracle
@@ -241,7 +247,6 @@ def main_run(config: RunConfig) -> dict:
         config.k_max,
         q,
         config.optimizer,
-        warm_start=config.warm_start,
         cert_tol=config.cert_tol,
         shots=config.shots,
     )
@@ -290,11 +295,7 @@ def main_run(config: RunConfig) -> dict:
 
 def main_analyze(path: str, out=sys.stdout) -> dict:
     """Schmidt spectra, rank, per-cut ebits and a truncation-error table."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    obj = read_input(path)
     if isinstance(obj, dict) and "mps" in obj:
         obj = obj["mps"]
     if not isinstance(obj, dict) or "tensors" not in obj:
@@ -302,6 +303,10 @@ def main_analyze(path: str, out=sys.stdout) -> dict:
     mps = mps_from_json(obj)
     state = mps_to_statevector(mps)
     n = state.n
+    norm = state.norm()
+    if not abs(norm - 1.0) <= MPS_NORM_TOL:
+        raise ValidationError(f"{path}: MPS norm is {norm:.6g}; analyze takes a normalized state "
+                              f"(norm 1 within {MPS_NORM_TOL:g}), not a zero or scaled one")
 
     cuts = []
     print(f"{n}-qubit MPS, bond dimensions {list(mps.bond_dims)}", file=out)
@@ -310,10 +315,7 @@ def main_analyze(path: str, out=sys.stdout) -> dict:
         cuts.append({"cut": data.cut, "rank": data.rank_eps, "ebits": data.ebits})
         lead = ", ".join(f"{s:.6f}" for s in data.singular_values[:4])
         print(f"{data.cut:3d}  {data.rank_eps:4d}  {data.ebits:9.6f}  {lead}", file=out)
-    # with no cut (n=1) the state's one singular value is its norm
-    max_rank = max((c["rank"] for c in cuts), default=int(state.norm() > DEFAULT_SV_TOL))
-    if max_rank == 0:
-        raise ValidationError(f"{path}: zero MPS (no singular value above {DEFAULT_SV_TOL:g})")
+    max_rank = max((c["rank"] for c in cuts), default=1)  # a normalized state has rank >= 1
     bound = ebit_bound(n, n)  # depth bound with one entangling block per site
     print(f"max rank {max_rank} -> {math.log2(max_rank):.3f} ebits; "
           f"half-chain cap {bound}", file=out)
@@ -390,13 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            with open(args.config, "r", encoding="utf-8") as fh:
-                try:
-                    raw = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ValidationError(
-                        f"{args.config}: invalid JSON at line {exc.lineno}: {exc.msg}"
-                    ) from exc
+            raw = read_input(args.config)
             overrides = {"seed": args.seed, "shots": args.shots, "output_path": args.output}
             if isinstance(raw, dict):  # anything else is rejected by config_from_dict
                 raw.update((key, value) for key, value in overrides.items() if value is not None)

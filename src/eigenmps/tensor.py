@@ -169,18 +169,23 @@ def mps_from_json(obj: dict) -> MpsState:
     try:
         site_objs = obj["tensors"]
         n = int(obj["n"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed MPS object: missing {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed MPS object: bad or missing {exc}") from exc
+    if not isinstance(site_objs, list):
+        raise ValidationError(f"MPS tensors must be a list, got {type(site_objs).__name__}")
     if len(site_objs) != n:
         raise ValidationError(f"MPS declares n={n} but has {len(site_objs)} tensors")
     tensors = []
     for i, site in enumerate(site_objs):
         try:
-            shape = tuple(int(d) for d in site["shape"])
+            shape = site["shape"]
             re = np.asarray(site["re"], dtype=float)
             im = np.asarray(site["im"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed tensor at site {i}: {exc}") from exc
+        if not (isinstance(shape, list) and len(shape) == 3
+                and all(type(d) is int and d > 0 for d in shape)):  # type(): bools are not sizes
+            raise ValidationError(f"tensor at site {i}: shape {shape!r} is not 3 positive integers")
         if re.size != np.prod(shape) or im.size != np.prod(shape):
             raise ValidationError(
                 f"tensor at site {i}: {re.size} values do not fill shape {shape}"

@@ -28,6 +28,7 @@ from .simulator import qubit_zero_probs as _qubit_zero_probs  # the name bench/ 
 
 DEFAULT_CLAMP = 1e-12
 DEFAULT_CERT_TOL = 1e-6
+FD_STEP = 1e-5  # central-difference step of fd-gradient-descent
 
 # Derivative-free default: simplex search while the parameter count stays
 # moderate, simultaneous-perturbation above that.
@@ -48,7 +49,6 @@ class OptimizerConfig:
     method: str | None = None  # None picks by parameter count
     max_iters: int = 500
     tol_loss: float = 1e-10
-    fd_step: float = 1e-5
     restarts: int = 1
     seed: int = 0
 
@@ -59,8 +59,6 @@ class OptimizerConfig:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.tol_loss >= 0:  # L-BFGS-B stops at once on a negative ftol
             raise ValidationError(f"tol_loss must be >= 0, got {self.tol_loss}")
-        if not self.fd_step > 0:  # also rejects NaN
-            raise ValidationError(f"fd_step must be > 0, got {self.fd_step}")
         if self.restarts < 1:
             raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
         if self.seed < 0:
@@ -244,7 +242,7 @@ def _fd_gradient_descent(tracked, theta0, config, trace):
                "gtol": 0.0}
     _scipy_minimize(
         tracked, theta0, trace, "L-BFGS-B", options,
-        jac=lambda theta: central_difference(tracked, theta, config.fd_step),
+        jac=lambda theta: central_difference(tracked, theta, FD_STEP),
     )
 
 
@@ -277,18 +275,17 @@ def run_sweep(
     q: BlackBoxUnitary,
     config: OptimizerConfig,
     *,
-    warm_start: bool = True,
     cert_tol: float = DEFAULT_CERT_TOL,
     shots: int = 0,
 ) -> SweepResult:
     """Optimize the ansatz family for each ebit budget k = 0 .. k_max.
 
-    Every budget runs config.restarts independent minimizations; with
-    warm_start the first restart is seeded by lifting the previous budget's
-    optimum, and that lifted point also stays in the candidate pool, so the
-    reported certificate sequence is non-decreasing in k up to the rounding
-    of the warm-start lift (a few ulps).  Per budget, the
-    candidate with the highest certificate wins (ties break to lower loss).
+    Every budget runs config.restarts independent minimizations; from k=1 on
+    the first restart is seeded by lifting the previous budget's optimum,
+    and that lifted point also stays in the candidate pool, so the reported
+    certificate sequence is non-decreasing in k up to the rounding of the
+    warm-start lift (a few ulps).  Per budget, the candidate with the
+    highest certificate wins (ties break to lower loss).
     The sweep stops as soon as a budget reaches certificate >= 1 - cert_tol.
 
     With shots > 0 the optimizer sees shot-based probability estimates (the
@@ -308,7 +305,7 @@ def run_sweep(
         circuit = build_mps_ansatz(n, k)
         candidates: list[tuple[np.ndarray, float, float, tuple]] = []
         lifted = None
-        if warm_start and previous is not None:
+        if previous is not None:
             lifted = embed_parameters(previous[0], previous[1], circuit)
             report = objective_report(circuit, lifted, q)
             candidates.append((lifted, report.loss, report.certificate, ((0, report.loss),)))

@@ -68,7 +68,7 @@ def sat_runs():
         t = default_sat_time(len(sat.clauses))
         q = from_sat_instance(sat, t)
         config = OptimizerConfig(max_iters=500, tol_loss=1e-14, restarts=5, seed=600 + i)
-        result = run_sweep(6, 0, q, config, warm_start=True, cert_tol=1e-7)
+        result = run_sweep(6, 0, q, config, cert_tol=1e-7)
         runs.append((sat, t, q, result))
     return runs, time.perf_counter() - started
 
@@ -87,7 +87,7 @@ def planted_runs():
             restarts=10,
             seed=4000 + i,
         )
-        result = run_sweep(4, 1, q, config, warm_start=True, cert_tol=1e-4)
+        result = run_sweep(4, 1, q, config, cert_tol=1e-4)
         runs.append((q, result))
     return runs, time.perf_counter() - started
 
@@ -253,7 +253,6 @@ def test_criterion_11_determinism(tmp_path):
             "oracle": {"type": "planted", "planted": {"k": 1, "seed": 3, "phases_seed": 4}},
             "optimizer": {"method": None, "max_iters": 40, "restarts": 2, "tol_loss": 1e-10},
             "shots": shots,
-            "warm_start": True,
             "cert_tol": 1e-9,
             "seed": 11,
             "output_path": str(tmp_path / f"record_{shots}.json"),

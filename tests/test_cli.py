@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ def base_config(tmp_path, n=3, **overrides):
         "oracle": {"type": "dense", "path": identity_oracle_file(tmp_path, n)},
         "optimizer": {"method": "nelder-mead", "max_iters": 50, "restarts": 1},
         "shots": 0,
-        "warm_start": True,
         "cert_tol": 1e-6,
         "seed": 7,
         "output_path": str(tmp_path / "record.json"),
@@ -47,10 +47,13 @@ def base_config(tmp_path, n=3, **overrides):
 
 
 def test_config_round_trip(tmp_path):
-    raw = base_config(tmp_path)
-    config = cli.config_from_dict(raw)
-    echoed = cli.config_to_dict(config)
-    assert cli.config_from_dict(echoed) == config
+    # every key config_to_dict writes, for every oracle type, is one config_from_dict takes back
+    dimacs = {"type": "dimacs", "path": "inst.cnf", "t": 0.3}
+    for oracle in (dimacs, base_config(tmp_path)["oracle"], {**TFI, "t": 0.5}, PLANTED):
+        for shots in (0, 64):
+            config = cli.config_from_dict(base_config(tmp_path, oracle=oracle, shots=shots))
+            echoed = json.loads(json.dumps(cli.config_to_dict(config)))
+            assert cli.config_from_dict(echoed) == config, (oracle["type"], shots)
 
 
 @pytest.mark.parametrize(
@@ -226,13 +229,13 @@ NUMERIC_FIELDS = [
     (None, ("oracle", "t")),
     (None, ("optimizer", "max_iters")),
     (None, ("optimizer", "tol_loss")),
-    (None, ("optimizer", "fd_step")),
     (None, ("optimizer", "restarts")),
     (TFI, ("oracle", "params", "coupling")),
     (TFI, ("oracle", "params", "field")),
     (PLANTED, ("oracle", "planted", "k")),
     (PLANTED, ("oracle", "planted", "seed")),
     (PLANTED, ("oracle", "planted", "phases_seed")),
+    (TFI, ("oracle", "t")),  # the base's dense oracle reads no t; the TFI evolution does
 ]
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -248,7 +251,7 @@ def with_field(raw, oracle, path, value):
     return raw
 
 
-@pytest.mark.parametrize("bad", ["ten", [1]])
+@pytest.mark.parametrize("bad", ["ten", [1], True])  # JSON booleans are not numbers
 @pytest.mark.parametrize("oracle, path", NUMERIC_FIELDS)
 def test_non_numeric_config_field_exits_2(tmp_path, capsys, oracle, path, bad):
     raw = with_field(base_config(tmp_path), oracle, path, bad)
@@ -281,11 +284,26 @@ def test_nan_in_dense_matrix_file_exits_2(tmp_path, capsys):
     assert "not unitary" in err
 
 
-@pytest.mark.parametrize("warm_start", ["false", 0, None])
-def test_warm_start_must_be_a_json_boolean(tmp_path, capsys, warm_start):
-    code, err = run_exit_code(tmp_path, capsys, base_config(tmp_path, warm_start=warm_start))
+@pytest.mark.parametrize(
+    "oracle, path, value",
+    [
+        (None, ("warm_start",), "false"),
+        (None, ("warm_start",), 0),
+        (None, ("warm_start",), None),
+        (None, ("warm_start",), True),
+        (None, ("optimizer", "fd_step"), 1e-4),
+        (None, ("optimizer", "max_iter"), 10),  # a typo of max_iters once ran 500 iterations
+        (TFI, ("oracle", "params", "J"), 0.5),
+    ],
+    ids=["false", "0", "None", "True", "fd_step", "max_iter", "params.J"],
+)
+def test_warm_start_must_be_a_json_boolean(tmp_path, capsys, monkeypatch, oracle, path, value):
+    """Every key outside the schema exits 2 and is named, warm_start and fd_step included."""
+    monkeypatch.setattr(cli, "build_oracle", lambda config: pytest.fail("oracle was built"))
+    raw = with_field(base_config(tmp_path), oracle, path, value)
+    code, err = run_exit_code(tmp_path, capsys, raw)
     assert code == 2
-    assert "warm_start" in err
+    assert "unknown config key" in err and ".".join(path) in err
 
 
 @pytest.mark.parametrize("cert_tol", [-1, -1e-9, 1.0, 2.5])
@@ -295,14 +313,13 @@ def test_cert_tol_outside_unit_interval_exits_2(tmp_path, capsys, cert_tol):
     assert "cert_tol" in err
 
 
-@pytest.mark.parametrize("kind", ["dimacs", "sat", "tfi", "planted", "dense"])
+@pytest.mark.parametrize("kind", ["dimacs", "tfi", "planted", "dense"])
 def test_capacity_checked_before_any_allocation(tmp_path, capsys, kind):
     # n=64 is far past every cap: the oracle build would ask for 2^64 entries
     cnf = tmp_path / "wide.cnf"
     cnf.write_text("p cnf 64 1\n1 -64 0\n")
     oracle = {
         "dimacs": {"type": "dimacs", "path": str(cnf)},
-        "sat": {"type": "hamiltonian", "preset": "sat", "path": str(cnf)},
         "tfi": TFI,
         "planted": PLANTED,
         "dense": {"type": "dense", "path": identity_oracle_file(tmp_path, 1)},
@@ -342,6 +359,8 @@ def test_analyze_zero_mps_exits_2(tmp_path, capsys):
         ({"seed": -1}, [], "seed"),
         ({}, ["--seed", "-1"], "seed"),
         ({}, ["--shots", "-3"], "shots"),
+        ({"oracle": {**PLANTED, "planted": {"k": 1, "seed": -1, "phases_seed": 6}}}, [],
+         "oracle.planted.seed"),  # numpy rejects a negative seed once the oracle is built
     ],
 )
 def test_negative_seed_or_shots_exits_2_before_the_oracle_is_built(
@@ -410,6 +429,76 @@ def test_analyze_one_qubit_zero_mps_exits_2(tmp_path, capsys):
     assert "zero" in err
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda obj: obj.update(tensors=5),
+        lambda obj: obj.update(n="two"),
+        lambda obj: obj["tensors"][-1].update(shape="12"),
+        lambda obj: obj["tensors"][-1].update(shape=[-1, 2, -1]),
+        lambda obj: obj["tensors"][-1].update(shape=[1.5, 2, 1]),  # once read as (1, 2, 1)
+        lambda obj: obj["tensors"][-1].update(shape=[True, 2, 1]),
+    ],
+    ids=["tensors-int", "n-str", "shape-str", "shape-negative", "shape-float", "shape-bool"],
+)
+def test_analyze_malformed_mps_exits_2(tmp_path, capsys, mutate):
+    obj = mps_to_json(statevector_to_mps(zero_state(2)))
+    mutate(obj)
+    assert cli.main(["analyze", write_json(tmp_path / "bad.json", obj)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale, code", [(5.0, 2), (1 + 1e-6, 2), (1 - 1e-6, 2), (1 + 1e-10, 0)])
+def test_analyze_takes_only_a_normalized_mps(tmp_path, capsys, scale, code):
+    # unnormalized, the cut's ebits came out negative and the rank-1 truncation error 0
+    mps = statevector_to_mps(ghz(2))
+    scaled = MpsState((mps.tensors[0] * scale, *mps.tensors[1:]))
+    assert cli.main(["analyze", write_json(tmp_path / "scaled.json", mps_to_json(scaled))]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("norm" in err) == (code == 2)
+
+
+@pytest.mark.parametrize(
+    "kind, data",
+    [
+        ("config", b'{"n": 3, "k_max": 1, "output_path": "r\xff.json"}'),
+        ("analyze", b'{"n": 1, "tensors": [], "note": "\xff"}'),
+        ("dimacs", b"p cnf 3 1\n1 -2 \xff 0\n"),
+        ("dense", '{"n": 1, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, é]]}'.encode("utf-8")),
+        ("dense", b'{"n": 1, "re": [[1, 0], [0'),
+    ],
+    ids=["config-not-utf8", "analyze-not-utf8", "dimacs-0xff", "dense-e-acute", "dense-truncated"],
+)
+def test_undecodable_or_unparsable_input_file_exits_2(tmp_path, capsys, kind, data):
+    bad = tmp_path / f"bad-{kind}"
+    bad.write_bytes(data)
+    if kind in ("dimacs", "dense"):
+        config = base_config(tmp_path, oracle={"type": kind, "path": str(bad)})
+        argv = ["run", write_json(tmp_path / "config.json", config)]
+    else:
+        argv = ["run" if kind == "config" else "analyze", str(bad)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(bad) in err
+
+
+def test_readme_config_block_matches_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Config keys (exact", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    documented = {}
+
+    def walk(obj, path):
+        documented[path] = sorted(obj)
+        for key, value in obj.items():
+            if isinstance(value, dict):
+                walk(value, f"{path}.{key}" if path else key)
+
+    walk(json.loads(block), "")
+    assert documented == {path: sorted(keys) for path, keys in cli.CONFIG_SCHEMA.items()}
+
+
 def test_run_and_analyze_take_one_schmidt_spectrum_per_cut(tmp_path, monkeypatch):
     cuts = []
     spectrum = tensor.schmidt_spectrum
@@ -432,7 +521,7 @@ def test_run_and_analyze_take_one_schmidt_spectrum_per_cut(tmp_path, monkeypatch
 CONFIG_KEYS = st.sampled_from(
     ["n", "k_max", "oracle", "type", "path", "preset", "t", "params", "coupling", "field",
      "planted", "k", "seed", "phases_seed", "optimizer", "method", "max_iters", "tol_loss",
-     "fd_step", "restarts", "shots", "warm_start", "cert_tol", "output_path"]
+     "restarts", "shots", "cert_tol", "output_path"]
 )
 JSON_SCALARS = (
     st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(NON_FINITE)
@@ -484,7 +573,7 @@ def test_config_from_dict_raises_only_validation_errors(fuzz_bases, data):
         return
     assert isinstance(config, cli.RunConfig)
     # a non-finite float in any numeric field must have raised (ints cannot hold one)
-    floats = [config.cert_tol, config.oracle.t, config.optimizer.tol_loss, config.optimizer.fd_step]
+    floats = [config.cert_tol, config.oracle.t, config.optimizer.tol_loss]
     floats += [config.oracle.params[key] for key in ("coupling", "field")
                if key in config.oracle.params]
     assert all(math.isfinite(x) for x in floats if x is not None)

@@ -251,10 +251,6 @@ def test_optimizer_config_validation():
         OptimizerConfig(method="annealing")
     with pytest.raises(ValidationError):
         OptimizerConfig(max_iters=0)
-    with pytest.raises(ValidationError):
-        OptimizerConfig(fd_step=0.0)
-    with pytest.raises(ValidationError):
-        OptimizerConfig(fd_step=math.nan)
     with pytest.raises(ValidationError, match="tol_loss"):
         OptimizerConfig(tol_loss=-1e-9)
     with pytest.raises(ValidationError):
@@ -305,6 +301,6 @@ def test_run_sweep_warm_start_monotone_certificates():
     config = OptimizerConfig(
         method="fd-gradient-descent", max_iters=150, tol_loss=1e-12, restarts=3, seed=11
     )
-    result = run_sweep(4, 2, q, config, warm_start=True, cert_tol=1e-4)
+    result = run_sweep(4, 2, q, config, cert_tol=1e-4)
     certs = [e.certificate for e in result.per_k]
     assert all(b >= a for a, b in zip(certs, certs[1:]))
