@@ -229,6 +229,7 @@ NUMERIC_FIELDS = [
     (None, ("oracle", "t")),
     (None, ("optimizer", "max_iters")),
     (None, ("optimizer", "tol_loss")),
+    (None, ("oracle", "params", "coupling")),  # checked even where the oracle ignores it
     (None, ("optimizer", "restarts")),
     (TFI, ("oracle", "params", "coupling")),
     (TFI, ("oracle", "params", "field")),
@@ -246,7 +247,7 @@ def with_field(raw, oracle, path, value):
         raw["oracle"] = copy.deepcopy(oracle)
     target = raw
     for key in path[:-1]:
-        target = target[key]
+        target = target.setdefault(key, {})
     target[path[-1]] = value
     return raw
 
