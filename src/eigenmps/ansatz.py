@@ -105,14 +105,18 @@ def build_mps_ansatz(n: int, k: int) -> AnsatzCircuit:
     return AnsatzCircuit(n, k, blocks, (n - k) * per_block)
 
 
+def _pauli_eigh(params: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the generator H = sum_j params_j G_j."""
+    return np.linalg.eigh(np.tensordot(params, _generator_stack(width), axes=1))
+
+
 def _pauli_exponential(params: np.ndarray, width: int) -> np.ndarray:
     """exp(-i H) with H = sum_j params_j G_j over the width-w Pauli strings.
 
     The generator is Hermitian, so the exponential is computed exactly by
     eigendecomposition and the result is unitary by construction.
     """
-    h = np.tensordot(params, _generator_stack(width), axes=1)
-    lam, vec = np.linalg.eigh(h)
+    lam, vec = _pauli_eigh(params, width)
     return (vec * np.exp(-1j * lam)) @ vec.conj().T
 
 
@@ -157,6 +161,30 @@ def block_matrices(circuit: AnsatzCircuit, theta: np.ndarray) -> list[np.ndarray
         else:
             mats.append(_pauli_exponential(chunk, spec.window.width))
     return mats
+
+
+def block_parameter_gradient(circuit: AnsatzCircuit, theta: np.ndarray, windows: list) -> np.ndarray:
+    """Gradient in theta of sum_j 2 Re tr(B_j(theta) X_j), one 2^w x 2^w X_j per block.
+
+    Wide blocks use the Daleckii-Krein derivative of exp(-i H) in H's eigenbasis
+    (Higham, Functions of Matrices, SIAM 2008), with Gamma the divided differences
+    of exp(-i x) at the eigenvalues: d tr(B X)/dc_a = tr(G_a V (Gamma^T o V^+ X V) V^+).
+    """
+    theta = np.asarray(theta, dtype=float)
+    grad = np.empty_like(theta)
+    for spec, x in zip(circuit.blocks, windows):
+        chunk = theta[spec.param_offset : spec.param_offset + spec.param_len]
+        if circuit.k == 0:  # d/dt1 turns t1 by pi/2; d/dt2 scales row 1 by -i
+            turned = _product_qubit_matrix(chunk[0] + 0.5 * np.pi, chunk[1])
+            g = np.array([np.trace(turned @ x), -1j * _product_qubit_matrix(*chunk)[1] @ x[:, 1]])
+        else:
+            lam, vec = _pauli_eigh(chunk, spec.window.width)
+            half_gap = 0.5 * (lam[:, None] - lam[None, :])  # sinc: exact where eigenvalues meet
+            gamma = -1j * np.exp(-0.5j * (lam[:, None] + lam[None, :])) * np.sinc(half_gap / np.pi)
+            w = vec @ (gamma.T * (vec.conj().T @ x @ vec)) @ vec.conj().T
+            g = np.einsum("aij,ji->a", _generator_stack(spec.window.width), w)
+        grad[spec.param_offset : spec.param_offset + spec.param_len] = 2.0 * g.real
+    return grad
 
 
 def apply_staircase(circuit: AnsatzCircuit, mats: list, amps: np.ndarray, adjoint: bool = False):

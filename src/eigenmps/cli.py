@@ -89,14 +89,15 @@ FIELD_TYPES = {
 
 
 def _convert(value, convert, name: str):
-    """convert(value) for an int, float or str field; a bool, a non-string for str, a value
-    convert rejects or a non-finite float is a ValidationError."""
+    """convert(value) for an int field (a JSON integer), a float field (a JSON number) or
+    a str field; a bool, a numeric string or a non-finite float is a ValidationError."""
     kind = {int: "an integer", float: "a number", str: "a string"}[convert]
-    if isinstance(value, bool) or (convert is str and not isinstance(value, str)):
+    accepted = {int: (int,), float: (int, float), str: (str,)}[convert]
+    if type(value) not in accepted:  # type(): a bool is an int subclass but no number here
         raise ValidationError(f"{name} must be {kind}, got {value!r}")
     try:
         result = convert(value)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         raise ValidationError(f"{name} must be {kind}, got {value!r}") from None
     if convert is float and not math.isfinite(result):
         raise ValidationError(f"{name} must be finite, got {value!r}")
@@ -196,8 +197,8 @@ def config_to_dict(config: RunConfig) -> dict:
 def read_input(path: str, parse: Callable[[str], object] = json.loads, encoding: str = "utf-8"):
     """parse() of the text of the file at path: every file the CLI reads comes in here.
 
-    Text that does not decode or JSON that does not parse is a ValidationError
-    naming the path; a file that cannot be opened or read stays an OSError.
+    Undecodable text, unparsable JSON and parse's ValidationErrors name the path;
+    a file that cannot be opened or read stays an OSError.
     """
     with open(path, "r", encoding=encoding) as fh:
         try:
@@ -206,6 +207,8 @@ def read_input(path: str, parse: Callable[[str], object] = json.loads, encoding:
             raise ValidationError(f"{path}: not {encoding} text at byte {exc.start}") from exc
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except ValidationError as exc:  # a format error inside the file
+            raise ValidationError(f"{path}: {exc}") from exc
 
 
 def build_oracle(config: RunConfig) -> BlackBoxUnitary:
@@ -219,7 +222,8 @@ def build_oracle(config: RunConfig) -> BlackBoxUnitary:
         t = spec.t if spec.t is not None else default_sat_time(len(sat.clauses))
         return from_sat_instance(sat, t)
     if spec.type == "dense":
-        oracle = from_dense_matrix(read_dense_matrix_json(read_input(spec.path)))
+        matrix = read_input(spec.path, lambda text: read_dense_matrix_json(json.loads(text)))
+        oracle = from_dense_matrix(matrix)
         if oracle.n != config.n:
             raise ValidationError(f"dense oracle is on {oracle.n} qubits, config says {config.n}")
         return oracle

@@ -223,11 +223,11 @@ def apply(q: BlackBoxUnitary, state: Statevector) -> Statevector:
     return Statevector(state.n, apply_raw(q, state.amplitudes))
 
 
-def apply_raw(q: BlackBoxUnitary, amps: np.ndarray) -> np.ndarray:
-    """Oracle action on a raw amplitude array (no shape re-validation)."""
-    if q.kind == "dense":
-        return q.matrix @ amps
-    return q.phases * amps
+def apply_raw(q: BlackBoxUnitary, amps: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """Q|amps>, or Q^dagger|amps> with adjoint, on a raw amplitude array (no shape re-validation)."""
+    if q.kind == "dense":  # Q^dagger a as conj(conj(a) Q): no conjugated copy of the matrix
+        return np.conj(amps.conj() @ q.matrix) if adjoint else q.matrix @ amps
+    return (q.phases.conj() if adjoint else q.phases) * amps
 
 
 def to_matrix(q: BlackBoxUnitary) -> np.ndarray:
@@ -295,11 +295,13 @@ def parse_dimacs(text: str) -> SatInstance:
 def read_dense_matrix_json(obj: dict) -> np.ndarray:
     """Decode the {"n", "re", "im"} dense-matrix file format."""
     try:
-        n = int(obj["n"])
+        n = obj["n"]
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed dense matrix object: {exc}") from exc
+    if type(n) is not int:  # a JSON integer: not a bool, a fraction or a numeric string
+        raise ValidationError(f"dense matrix n must be an integer, got {n!r}")
     dim = 2**n
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValidationError(

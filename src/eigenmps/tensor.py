@@ -168,9 +168,11 @@ def mps_from_json(obj: dict) -> MpsState:
     """Inverse of mps_to_json, with shape validation."""
     try:
         site_objs = obj["tensors"]
-        n = int(obj["n"])
-    except (KeyError, TypeError, ValueError) as exc:
+        n = obj["n"]
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed MPS object: bad or missing {exc}") from exc
+    if type(n) is not int:  # a JSON integer: not a bool, a fraction or a numeric string
+        raise ValidationError(f"MPS n must be an integer, got {n!r}")
     if not isinstance(site_objs, list):
         raise ValidationError(f"MPS tensors must be a list, got {type(site_objs).__name__}")
     if len(site_objs) != n:

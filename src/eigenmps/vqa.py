@@ -10,6 +10,7 @@ reports and terminates on.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -20,19 +21,15 @@ import numpy as np
 import scipy.optimize
 
 from .ansatz import AnsatzCircuit, apply_staircase, block_matrices, build_mps_ansatz
-from .ansatz import embed_parameters
+from .ansatz import block_parameter_gradient, embed_parameters
 from .errors import NumericalError, ShapeError, ValidationError
 from .oracle import BlackBoxUnitary, apply_raw as oracle_apply_raw
-from .simulator import Statevector, sample_probs, zero_state
+from .simulator import Statevector, apply_matrix_raw, sample_probs, zero_state
 from .simulator import qubit_zero_probs as _qubit_zero_probs  # the name bench/ traces
 
 DEFAULT_CLAMP = 1e-12
 DEFAULT_CERT_TOL = 1e-6
 FD_STEP = 1e-5  # central-difference step of fd-gradient-descent
-
-# Derivative-free default: simplex search while the parameter count stays
-# moderate, simultaneous-perturbation above that.
-NELDER_MEAD_MAX_PARAMS = 60
 
 
 @dataclass(frozen=True)
@@ -46,7 +43,7 @@ class ObjectiveReport:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    method: str | None = None  # None picks by parameter count
+    method: str | None = None  # None: "lbfgs" (run_sweep's shots mode forces "spsa")
     max_iters: int = 500
     tol_loss: float = 1e-10
     restarts: int = 1
@@ -82,23 +79,24 @@ class SweepResult:
     reason: str
 
 
-def _evolved_amps(circuit: AnsatzCircuit, theta: np.ndarray, q: BlackBoxUnitary) -> np.ndarray:
+def _forward(circuit: AnsatzCircuit, theta: np.ndarray, q: BlackBoxUnitary):
+    """Block matrices, U|0...0>, QU|0...0> and psi = U^dagger Q U|0...0>."""
     if q.n != circuit.n:
         raise ShapeError(f"oracle on {q.n} qubits does not match circuit with n={circuit.n}")
     mats = block_matrices(circuit, theta)
-    amps = apply_staircase(circuit, mats, zero_state(circuit.n).amplitudes)
-    amps = oracle_apply_raw(q, amps)
-    return apply_staircase(circuit, mats, amps, adjoint=True)
+    prepared = apply_staircase(circuit, mats, zero_state(circuit.n).amplitudes)
+    kicked = oracle_apply_raw(q, prepared)
+    return mats, prepared, kicked, apply_staircase(circuit, mats, kicked, adjoint=True)
 
 
 def evolved_state(circuit: AnsatzCircuit, theta: np.ndarray, q: BlackBoxUnitary) -> Statevector:
     """U(theta)^dagger Q U(theta)|0...0>: prepare, apply the oracle, unprepare."""
-    return Statevector(circuit.n, _evolved_amps(circuit, theta, q))
+    return Statevector(circuit.n, _forward(circuit, theta, q)[-1])
 
 
 def probabilities(circuit: AnsatzCircuit, theta: np.ndarray, q: BlackBoxUnitary) -> np.ndarray:
     """p_i(theta) for every qubit i."""
-    return _qubit_zero_probs(_evolved_amps(circuit, theta, q), circuit.n)
+    return _qubit_zero_probs(_forward(circuit, theta, q)[-1], circuit.n)
 
 
 def log_likelihood(p: np.ndarray, clamp: float = DEFAULT_CLAMP) -> float:
@@ -109,7 +107,7 @@ def log_likelihood(p: np.ndarray, clamp: float = DEFAULT_CLAMP) -> float:
 
 def certificate(circuit: AnsatzCircuit, theta: np.ndarray, q: BlackBoxUnitary) -> float:
     """|<0|psi(theta)>|^2; equals 1 iff the prepared state is an eigenvector of Q."""
-    return float(abs(_evolved_amps(circuit, theta, q)[0]) ** 2)
+    return float(abs(_forward(circuit, theta, q)[-1][0]) ** 2)
 
 
 def objective_report(
@@ -118,9 +116,37 @@ def objective_report(
     q: BlackBoxUnitary,
 ) -> ObjectiveReport:
     """Probabilities, loss and certificate from a single state construction."""
-    amps = _evolved_amps(circuit, theta, q)
+    amps = _forward(circuit, theta, q)[-1]
     p = _qubit_zero_probs(amps, circuit.n)
     return ObjectiveReport(p, log_likelihood(p), float(abs(amps[0]) ** 2))
+
+
+def loss_and_gradient(circuit: AnsatzCircuit, theta: np.ndarray, q: BlackBoxUnitary):
+    """(loss, gradient, certificate) from one forward and one reverse (adjoint) pass.
+
+    Loss and certificate are bit-equal to objective_report's.  dL = 2 Re <lam|dpsi>
+    with lam = -w psi, w(x) the sum of 1/p_i over the qubits reading 0 in x (0 below
+    the clamp, where the loss is flat); Jones & Gacon, arXiv:2009.02823.  The reverse
+    pass undoes each block with B_j^dagger, so four running vectors stand in for the
+    intermediate states, and block j gets 2 Re tr(dB_j X_j) from its window matrix X_j.
+    """
+    n = circuit.n
+    mats, state, kicked, psi = _forward(circuit, theta, q)
+    p = _qubit_zero_probs(psi, n)
+    inverse = np.divide(1.0, p, out=np.zeros(n), where=p > DEFAULT_CLAMP)
+    weight = np.asarray(functools.reduce(np.add.outer, ([v, 0.0] for v in inverse)))
+    ahead = apply_staircase(circuit, mats, -weight.ravel() * psi)
+    pulled = oracle_apply_raw(q, ahead, adjoint=True)
+    windows = []
+    for spec, m in zip(reversed(circuit.blocks), reversed(mats)):
+        targets, undo = spec.window.targets, m.conj().T
+        state, ahead = [apply_matrix_raw(v, n, undo, targets) for v in (state, ahead)]
+        shape = (2 ** targets[0], 2 ** len(targets), -1)  # staircase windows are contiguous
+        windows.append(sum(np.einsum("prq,psq->rs", u.reshape(shape), v.reshape(shape).conj())
+                           for u, v in ((state, pulled), (ahead, kicked))))
+        kicked, pulled = [apply_matrix_raw(v, n, undo, targets) for v in (kicked, pulled)]
+    gradient = block_parameter_gradient(circuit, theta, windows[::-1])
+    return log_likelihood(p), gradient, float(abs(psi[0]) ** 2)
 
 
 def loss_gradient_fd(
@@ -148,66 +174,67 @@ def central_difference(fn: Callable, theta: np.ndarray, step: float) -> np.ndarr
 
 
 class _Tracked:
-    """Objective wrapper: tracks the best-seen point, rejects non-finite values."""
+    """Objective wrapper: tracks the best-seen point, rejects non-finite values.  Of an
+    objective returning (loss, gradient, certificate) it passes on (loss, gradient) and
+    keeps the best point's certificate, which stops a scipy method at 1 - cert_tol."""
 
-    def __init__(self, fn: Callable[[np.ndarray], float]):
+    def __init__(self, fn: Callable, cert_tol: float | None = None):
         self.fn = fn
         self.best_loss = math.inf
         self.best_theta: np.ndarray | None = None
-        self.evals = 0
+        self.best_certificate = -math.inf
+        self.target = math.inf if cert_tol is None else 1.0 - cert_tol
 
-    def __call__(self, theta: np.ndarray) -> float:
-        value = float(self.fn(np.asarray(theta, dtype=float)))
-        self.evals += 1
+    def __call__(self, theta: np.ndarray):
+        theta = np.asarray(theta, dtype=float)
+        out = self.fn(theta)
+        value, *extra = out if isinstance(out, tuple) else (out,)
+        value = float(value)
         if not math.isfinite(value):
-            raise NumericalError(
-                f"objective returned {value} at theta={np.asarray(theta, dtype=float).tolist()}"
-            )
+            raise NumericalError(f"objective returned {value} at theta={theta.tolist()}")
         if value < self.best_loss:
-            self.best_loss = value
-            self.best_theta = np.array(theta, dtype=float, copy=True)
-        return value
+            self.best_loss, self.best_theta = value, theta.copy()
+            self.best_certificate = extra[1] if extra else -math.inf
+        return (value, extra[0]) if extra else value
 
 
 def minimize(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable,
     theta0: np.ndarray,
     config: OptimizerConfig,
+    cert_tol: float | None = None,
 ) -> tuple[np.ndarray, list[tuple[int, float]]]:
-    """Run one minimization from theta0 with config.method.
+    """Run one minimization from theta0 with config.method ("lbfgs" when None).
 
-    Nelder-Mead and SPSA use objective values only; fd-gradient-descent is
-    L-BFGS-B on central-difference gradients.  Returns the best-seen
-    parameter vector and a trace of (iteration, best-loss-so-far) pairs; the
-    trace is non-increasing by construction.  Deterministic for a fixed
-    config.seed.
+    Nelder-Mead and SPSA use objective values only; fd-gradient-descent is L-BFGS-B
+    on central-difference gradients, "lbfgs" L-BFGS-B on an objective returning (loss,
+    gradient, certificate) like loss_and_gradient, stopped once the best point's
+    certificate reaches 1 - cert_tol.  Returns the best-seen parameter vector and a
+    non-increasing trace of (iteration, best loss) pairs; deterministic given config.seed.
     """
     theta0 = np.asarray(theta0, dtype=float)
-    method = config.method or (
-        "nelder-mead" if theta0.size <= NELDER_MEAD_MAX_PARAMS else "spsa"
-    )
-    tracked = _Tracked(objective)
+    tracked = _Tracked(objective, cert_tol)
     trace: list[tuple[int, float]] = []
-    _METHODS[method](tracked, theta0, config, trace)
+    _METHODS[config.method or "lbfgs"](tracked, theta0, config, trace)
     return tracked.best_theta, trace
 
 
-def _scipy_minimize(tracked, theta0, trace, method, options, jac=None):
-    """scipy.optimize.minimize on tracked, one (iteration, best loss) trace entry per callback."""
+def _scipy_minimize(fun, tracked, theta0, trace, method, options, jac=None):
+    """scipy.optimize.minimize on fun, one (iteration, best loss) trace entry per callback."""
     iterations = itertools.count(1)
 
     def record(_xk):
         trace.append((next(iterations), tracked.best_loss))
+        if tracked.best_certificate >= tracked.target:
+            raise StopIteration
 
-    scipy.optimize.minimize(
-        tracked, theta0, method=method, jac=jac, callback=record, options=options
-    )
+    scipy.optimize.minimize(fun, theta0, method=method, jac=jac, callback=record, options=options)
 
 
 def _nelder_mead(tracked, theta0, config, trace):
     options = {"maxiter": config.max_iters, "maxfev": 10**9, "fatol": config.tol_loss,
                "xatol": 1e-8, "adaptive": theta0.size > 10}
-    _scipy_minimize(tracked, theta0, trace, "Nelder-Mead", options)
+    _scipy_minimize(tracked, tracked, theta0, trace, "Nelder-Mead", options)
 
 
 def _spsa(tracked, theta0, config, trace):
@@ -235,25 +262,27 @@ def _spsa(tracked, theta0, config, trace):
     tracked(theta)
 
 
-def _fd_gradient_descent(tracked, theta0, config, trace):
-    """L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) on central-difference gradients."""
-    trace.append((0, tracked(theta0)))
-    options = {"maxiter": config.max_iters, "maxfun": 10**9, "ftol": config.tol_loss,
-               "gtol": 0.0}
-    _scipy_minimize(
-        tracked, theta0, trace, "L-BFGS-B", options,
-        jac=lambda theta: central_difference(tracked, theta, FD_STEP),
-    )
+def _lbfgsb(tracked, theta0, config, trace):
+    """L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) on the objective's own gradient ("lbfgs")
+    or on central differences; its first call, at theta0, gives trace entry 0."""
+
+    def fun(theta):
+        out = tracked(theta)
+        if not trace:
+            trace.append((0, tracked.best_loss))
+        return out
+
+    exact = config.method in (None, "lbfgs")
+    jac = True if exact else lambda theta: central_difference(tracked, theta, FD_STEP)
+    options = {"maxiter": config.max_iters, "maxfun": 10**9, "ftol": config.tol_loss, "gtol": 0.0}
+    _scipy_minimize(fun, tracked, theta0, trace, "L-BFGS-B", options, jac=jac)
 
 
-_METHODS = {
-    "nelder-mead": _nelder_mead,
-    "spsa": _spsa,
-    "fd-gradient-descent": _fd_gradient_descent,
-}
+_METHODS = {"nelder-mead": _nelder_mead, "spsa": _spsa, "fd-gradient-descent": _lbfgsb,
+            "lbfgs": _lbfgsb}
 
 
-def _make_objective(circuit, q, shots, shot_rng):
+def _make_objective(circuit, q, shots, shot_rng, method=None):
     if shots:
 
         def shot_objective(theta):
@@ -263,10 +292,9 @@ def _make_objective(circuit, q, shots, shot_rng):
 
         return shot_objective
 
-    def exact_objective(theta):
-        return log_likelihood(probabilities(circuit, theta, q))
-
-    return exact_objective
+    if method == "lbfgs":
+        return lambda theta: loss_and_gradient(circuit, theta, q)
+    return lambda theta: log_likelihood(probabilities(circuit, theta, q))
 
 
 def run_sweep(
@@ -288,9 +316,10 @@ def run_sweep(
     highest certificate wins (ties break to lower loss).
     The sweep stops as soon as a budget reaches certificate >= 1 - cert_tol.
 
-    With shots > 0 the optimizer sees shot-based probability estimates (the
-    method is forced to SPSA), while the reported loss and certificate stay
-    exact.  Fully deterministic given config.seed.
+    Method None means "lbfgs" on loss_and_gradient, which also ends a restart
+    at the certificate.  With shots > 0 the optimizer sees shot-based
+    probability estimates (the method is forced to SPSA), while the reported
+    loss and certificate stay exact.  Fully deterministic given config.seed.
     """
     if not 0 <= k_max <= n // 2:
         raise ValidationError(f"k_max={k_max} outside valid range [0, {n // 2}] for n={n}")
@@ -318,12 +347,12 @@ def run_sweep(
                 theta0 = rng.uniform(0.0, 2.0 * np.pi, circuit.total_params)
             run_config = replace(
                 config,
-                method="spsa" if shots else config.method,
+                method="spsa" if shots else (config.method or "lbfgs"),
                 seed=int(np.random.default_rng((config.seed, k, restart, 7)).integers(2**31)),
             )
             shot_rng = np.random.default_rng((config.seed, k, restart, 3)) if shots else None
-            objective = _make_objective(circuit, q, shots, shot_rng)
-            theta_best, trace = minimize(objective, theta0, run_config)
+            objective = _make_objective(circuit, q, shots, shot_rng, run_config.method)
+            theta_best, trace = minimize(objective, theta0, run_config, cert_tol)
             report = objective_report(circuit, theta_best, q)
             candidates.append((theta_best, report.loss, report.certificate, tuple(trace)))
             if report.certificate >= 1.0 - cert_tol:

@@ -252,13 +252,26 @@ def with_field(raw, oracle, path, value):
     return raw
 
 
-@pytest.mark.parametrize("bad", ["ten", [1], True])  # JSON booleans are not numbers
+# JSON booleans and numeric strings are not numbers
+@pytest.mark.parametrize("bad", ["ten", [1], True, "1", "0.5"])
 @pytest.mark.parametrize("oracle, path", NUMERIC_FIELDS)
 def test_non_numeric_config_field_exits_2(tmp_path, capsys, oracle, path, bad):
     raw = with_field(base_config(tmp_path), oracle, path, bad)
     code, err = run_exit_code(tmp_path, capsys, raw)
     assert code == 2
     assert path[-1] in err
+
+
+INTEGER_FIELDS = [(o, p) for o, p in NUMERIC_FIELDS if cli.FIELD_TYPES[p[-1]] is int]
+
+
+@pytest.mark.parametrize("bad", [3.9, 1.0])  # once read as 3 and 1
+@pytest.mark.parametrize("oracle, path", INTEGER_FIELDS)
+def test_fractional_number_in_integer_config_field_exits_2(tmp_path, capsys, oracle, path, bad):
+    raw = with_field(base_config(tmp_path), oracle, path, bad)
+    code, err = run_exit_code(tmp_path, capsys, raw)
+    assert code == 2
+    assert path[-1] in err and "integer" in err
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
@@ -435,12 +448,15 @@ def test_analyze_one_qubit_zero_mps_exits_2(tmp_path, capsys):
     [
         lambda obj: obj.update(tensors=5),
         lambda obj: obj.update(n="two"),
+        lambda obj: obj.update(n="2"),
+        lambda obj: obj.update(n=2.0),
         lambda obj: obj["tensors"][-1].update(shape="12"),
         lambda obj: obj["tensors"][-1].update(shape=[-1, 2, -1]),
         lambda obj: obj["tensors"][-1].update(shape=[1.5, 2, 1]),  # once read as (1, 2, 1)
         lambda obj: obj["tensors"][-1].update(shape=[True, 2, 1]),
     ],
-    ids=["tensors-int", "n-str", "shape-str", "shape-negative", "shape-float", "shape-bool"],
+    ids=["tensors-int", "n-str", "n-numeric-str", "n-float", "shape-str", "shape-negative",
+         "shape-float", "shape-bool"],
 )
 def test_analyze_malformed_mps_exits_2(tmp_path, capsys, mutate):
     obj = mps_to_json(statevector_to_mps(zero_state(2)))
@@ -483,6 +499,27 @@ def test_undecodable_or_unparsable_input_file_exits_2(tmp_path, capsys, kind, da
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert str(bad) in err
+
+
+@pytest.mark.parametrize(
+    "kind, text, fragment",
+    [
+        ("dimacs", "p cnf 3 1\n1 x 0\n", "line 2: non-integer token 'x'"),
+        ("dimacs", "p cnf 3 2\n1 -2 0\n", "header declares 2 clauses"),
+        ("dense", '{"n": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}', "4x4"),
+        ("dense", '{"n": "1", "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}', "integer"),
+        ("dense", '{"n": 1, "re": [[1, 0], [0, "x"]], "im": [[0, 0], [0, 0]]}', "malformed"),
+    ],
+    ids=["dimacs-token", "dimacs-count", "dense-shape", "dense-n-str", "dense-entry"],
+)
+def test_format_error_inside_input_file_names_it(tmp_path, capsys, kind, text, fragment):
+    bad = tmp_path / f"bad-{kind}"
+    bad.write_text(text)
+    raw = base_config(tmp_path, n=1 if kind == "dense" else 3, k_max=0,
+                      oracle={"type": kind, "path": str(bad)})
+    code, err = run_exit_code(tmp_path, capsys, raw)
+    assert code == 2
+    assert f"{bad}: " in err and fragment in err
 
 
 def test_readme_config_block_matches_schema():

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import planted_recovery_instance, random_unitary
+from conftest import planted_recovery_instance, random_3sat, random_unitary
 from eigenmps.ansatz import block_matrices, build_mps_ansatz, prepare_state
 from eigenmps.errors import NumericalError, ValidationError
+from eigenmps.oracle import BlackBoxUnitary, default_sat_time, from_sat_instance
 from eigenmps.oracle import apply as oracle_apply, from_dense_matrix, planted_unitary, to_matrix
 from eigenmps.simulator import inner_product
 from eigenmps.vqa import (
@@ -13,6 +16,7 @@ from eigenmps.vqa import (
     central_difference,
     certificate,
     log_likelihood,
+    loss_and_gradient,
     loss_gradient_fd,
     minimize,
     objective_report,
@@ -217,6 +221,9 @@ def test_minimize_aborts_on_non_finite():
     config = OptimizerConfig(method="nelder-mead", max_iters=50)
     with pytest.raises(NumericalError, match="theta"):
         minimize(lambda t: float("nan"), np.array([0.5]), config)
+    config = OptimizerConfig(method="lbfgs", max_iters=50)
+    with pytest.raises(NumericalError, match="theta"):
+        minimize(lambda t: (math.inf, np.zeros(1), 0.0), np.array([0.5]), config)
 
 
 def test_spsa_and_fd_methods_run():
@@ -304,3 +311,110 @@ def test_run_sweep_warm_start_monotone_certificates():
     result = run_sweep(4, 2, q, config, cert_tol=1e-4)
     certs = [e.certificate for e in result.per_k]
     assert all(b >= a for a, b in zip(certs, certs[1:]))
+
+
+def random_oracle(rng, n, dense):
+    """A Haar-random dense oracle or a random diagonal-phase one on n qubits."""
+    if dense:
+        return from_dense_matrix(random_unitary(rng, 2**n))
+    return BlackBoxUnitary(n, "diagonal-phase", phases=np.exp(1j * rng.uniform(0, 2 * np.pi, 2**n)))
+
+
+@given(
+    n=st.integers(1, 5),
+    k_share=st.floats(0.0, 1.0),
+    dense=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_loss_and_gradient_matches_central_differences(n, k_share, dense, seed):
+    # the adjoint gradient is exact; the step-1e-5 central difference is good to ~1e-9 here
+    rng = np.random.default_rng(seed)
+    circuit = build_mps_ansatz(n, round(k_share * (n // 2)))
+    q = random_oracle(rng, n, dense)
+    theta = rng.uniform(0, 2 * np.pi, circuit.total_params)
+    _, grad, _ = loss_and_gradient(circuit, theta, q)
+    fd = loss_gradient_fd(circuit, theta, q, step=1e-5)
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(fd))))
+
+
+def test_loss_and_gradient_loss_and_certificate_are_objective_reports():
+    rng = np.random.default_rng(43)
+    for n in range(1, 7):
+        for k in range(n // 2 + 1):
+            for dense in (True, False):
+                circuit = build_mps_ansatz(n, k)
+                q = random_oracle(rng, n, dense)
+                theta = rng.uniform(0, 2 * np.pi, circuit.total_params)
+                loss, _, cert = loss_and_gradient(circuit, theta, q)
+                report = objective_report(circuit, theta, q)
+                assert (loss, cert) == (report.loss, report.certificate), (n, k, dense)
+
+
+def test_loss_and_gradient_below_the_clamp_is_flat():
+    # X on one qubit from |0>: p = 0 sits under the clamp, where the loss is constant
+    circuit = build_mps_ansatz(1, 0)
+    loss, grad, cert = loss_and_gradient(circuit, np.zeros(2), from_dense_matrix([[0, 1], [1, 0]]))
+    assert loss == pytest.approx(-math.log(1e-12)) and cert == 0.0
+    assert grad.tolist() == [0.0, 0.0]
+
+
+def test_lbfgs_stops_at_the_first_iteration_holding_the_certificate():
+    sat = random_3sat(3)
+    q = from_sat_instance(sat, default_sat_time(len(sat.clauses)))
+    circuit = build_mps_ansatz(sat.num_vars, 0)
+    theta0 = np.random.default_rng(5).uniform(0, 2 * np.pi, circuit.total_params)
+    config = OptimizerConfig(method="lbfgs", max_iters=500, tol_loss=1e-14)
+    cert_tol = 1e-7
+    certificates = {}
+
+    def objective(theta):
+        out = loss_and_gradient(circuit, theta, q)
+        certificates.setdefault(out[0], out[2])
+        return out
+
+    _, trace = minimize(objective, theta0, config, cert_tol)
+    # trace entries hold the best loss after each iteration; look up that point's certificate
+    held = [certificates[loss] >= 1 - cert_tol for _, loss in trace]
+    assert held[-1] and not any(held[:-1])
+    _, unstopped = minimize(objective, theta0, config)
+    assert len(unstopped) > len(trace)
+
+
+def test_lbfgsb_methods_evaluate_theta0_once():
+    rng = np.random.default_rng(47)
+    circuit = build_mps_ansatz(3, 1)
+    q = random_oracle(rng, 3, dense=True)
+    theta0 = rng.uniform(0, 2 * np.pi, circuit.total_params)
+    start_loss = objective_report(circuit, theta0, q).loss
+    objectives = {
+        "fd-gradient-descent": lambda t: log_likelihood(probabilities(circuit, t, q)),
+        "lbfgs": lambda t: loss_and_gradient(circuit, t, q),
+    }
+    for method, fn in objectives.items():
+        at_theta0 = []
+
+        def objective(theta):
+            at_theta0.append(np.array_equal(theta, theta0))
+            return fn(theta)
+
+        _, trace = minimize(objective, theta0, OptimizerConfig(method=method, max_iters=3))
+        assert at_theta0[0] and sum(at_theta0) == 1, method
+        assert trace[0] == (0, start_loss), method
+
+
+def test_loss_and_gradient_memory_does_not_grow_with_the_block_count():
+    # n=16, k=0 has 16 blocks: keeping every intermediate state of one pass alone
+    # would hold 17 vectors of 2^n amplitudes
+    n = 16
+    rng = np.random.default_rng(53)
+    circuit = build_mps_ansatz(n, 0)
+    q = random_oracle(rng, n, dense=False)
+    theta = rng.uniform(0, 2 * np.pi, circuit.total_params)
+    loss_and_gradient(circuit, theta, q)  # fills the lazy caches outside the traced call
+    tracemalloc.start()
+    try:
+        loss_and_gradient(circuit, theta, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**n * 16
