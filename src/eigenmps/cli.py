@@ -35,14 +35,8 @@ from .oracle import (
 )
 from .oracle import tfi_hamiltonian as _tfi_hamiltonian  # the name bench/ calls and traces
 from .simulator import MAX_QUBITS
-from .tensor import (
-    mps_from_json,
-    mps_to_json,
-    mps_to_statevector,
-    schmidt_spectra,
-    statevector_to_mps,
-    truncate,
-)
+from .tensor import mps_from_json, mps_to_json, mps_to_statevector, schmidt_spectra
+from .tensor import statevector_to_mps, truncate
 from .vqa import DEFAULT_CERT_TOL, OptimizerConfig, run_sweep
 
 ORACLE_TYPES = ("dimacs", "dense", "hamiltonian", "planted")
@@ -207,8 +201,9 @@ def read_input(path: str, parse: Callable[[str], object] = json.loads, encoding:
             raise ValidationError(f"{path}: not {encoding} text at byte {exc.start}") from exc
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-        except ValidationError as exc:  # a format error inside the file
-            raise ValidationError(f"{path}: {exc}") from exc
+        except ValidationError as exc:  # a format error inside the file; keeps its class
+            exc.args = (f"{path}: {exc}",)
+            raise
 
 
 def build_oracle(config: RunConfig) -> BlackBoxUnitary:
@@ -297,21 +292,26 @@ def main_run(config: RunConfig) -> dict:
     return record
 
 
-def main_analyze(path: str, out=sys.stdout) -> dict:
-    """Schmidt spectra, rank, per-cut ebits and a truncation-error table."""
-    obj = read_input(path)
+def _parse_mps(text: str) -> tuple:
+    """The normalized MPS of an exported MPS or a run record, and its contracted state."""
+    obj = json.loads(text)
     if isinstance(obj, dict) and "mps" in obj:
         obj = obj["mps"]
     if not isinstance(obj, dict) or "tensors" not in obj:
-        raise ValidationError(f"{path}: neither an exported MPS nor a run record")
-    mps = mps_from_json(obj)
+        raise ValidationError("neither an exported MPS nor a run record")
+    mps = mps_from_json(obj)  # checks n against MAX_QUBITS before any contraction
     state = mps_to_statevector(mps)
-    n = state.n
     norm = state.norm()
     if not abs(norm - 1.0) <= MPS_NORM_TOL:
-        raise ValidationError(f"{path}: MPS norm is {norm:.6g}; analyze takes a normalized state "
+        raise ValidationError(f"MPS norm is {norm:.6g}; analyze takes a normalized state "
                               f"(norm 1 within {MPS_NORM_TOL:g}), not a zero or scaled one")
+    return mps, state
 
+
+def main_analyze(path: str, out=sys.stdout) -> dict:
+    """Schmidt spectra, rank, per-cut ebits and a truncation-error table."""
+    mps, state = read_input(path, _parse_mps)
+    n = state.n
     cuts = []
     print(f"{n}-qubit MPS, bond dimensions {list(mps.bond_dims)}", file=out)
     print("cut  rank  ebits      leading singular values", file=out)

@@ -88,18 +88,23 @@ class BlackBoxUnitary:
                 raise ValidationError(f"phase vector is not unit modulus: drift {drift:.3e}")
 
 
-def from_dense_matrix(m: np.ndarray) -> BlackBoxUnitary:
-    """Oracle whose apply is the matrix-vector product with m."""
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"oracle matrix must be square, got shape {m.shape}")
-    dim = m.shape[0]
-    n = int(dim).bit_length() - 1
-    if dim != 2**n or n < 1:
-        raise ShapeError(f"oracle dimension must be a power of two >= 2, got {dim}")
+def _dense_qubits(shape: tuple, what: str) -> int:
+    """n for a 2^n x 2^n operator of this shape, checked before anything is built from it."""
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ShapeError(f"{what} must be square, got shape {shape}")
+    n = int(shape[0]).bit_length() - 1
+    if shape[0] != 2**n or n < 1:
+        raise ShapeError(f"{what} dimension must be a power of two >= 2, got {shape[0]}")
     if n > MAX_DENSE_QUBITS:
         raise CapacityError(f"dense oracle capped at {MAX_DENSE_QUBITS} qubits, got n={n}")
-    defect = float(np.linalg.norm(m.conj().T @ m - np.eye(dim)))
+    return n
+
+
+def from_dense_matrix(m: np.ndarray) -> BlackBoxUnitary:
+    """Oracle whose apply is the matrix-vector product with m."""
+    n = _dense_qubits(np.shape(m), "oracle matrix")
+    m = np.asarray(m, dtype=np.complex128)
+    defect = float(np.linalg.norm(m.conj().T @ m - np.eye(2**n)))
     if not defect <= ORACLE_UNITARY_TOL:
         raise ValidationError(
             f"oracle matrix is not unitary: Frobenius defect {defect:.3e} > "
@@ -110,9 +115,8 @@ def from_dense_matrix(m: np.ndarray) -> BlackBoxUnitary:
 
 def from_hamiltonian_evolution(h: np.ndarray, t: float) -> BlackBoxUnitary:
     """exp(-i h t) by exact eigendecomposition; eigenvectors coincide with h's."""
+    n = _dense_qubits(np.shape(h), "Hamiltonian")
     h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ShapeError(f"Hamiltonian must be square, got shape {h.shape}")
     defect = float(np.linalg.norm(h - h.conj().T))
     if not defect <= ORACLE_UNITARY_TOL:
         raise ValidationError(
@@ -120,8 +124,10 @@ def from_hamiltonian_evolution(h: np.ndarray, t: float) -> BlackBoxUnitary:
             f"{ORACLE_UNITARY_TOL:g}"
         )
     lam, vec = np.linalg.eigh(h)
+    if not np.isfinite(lam * t).all():  # U is unitary by construction unless lam t overflows
+        raise ValidationError(f"Hamiltonian evolution phases lam t are not finite at t={t!r}")
     u = (vec * np.exp(-1j * lam * t)) @ vec.conj().T
-    return from_dense_matrix(u)
+    return BlackBoxUnitary(n, "dense", matrix=u)
 
 
 def tfi_hamiltonian(n: int, coupling: float, transverse: float) -> np.ndarray:

@@ -91,10 +91,6 @@ class DenseUnitary:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def width(self) -> int:
-        return int(self.dim).bit_length() - 1
-
 
 def zero_state(n: int) -> Statevector:
     """The computational basis state |0...0> on n qubits."""

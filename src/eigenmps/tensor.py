@@ -13,8 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
-from .simulator import Statevector
+from .errors import CapacityError, ShapeError, ValidationError
+from .simulator import MAX_QUBITS, Statevector
 
 # "Non-zero singular value" needs a numerical cutoff; callers can override.
 DEFAULT_SV_TOL = 1e-10
@@ -64,7 +64,7 @@ class SchmidtData:
         """Von Neumann entropy -sum sigma^2 log2 sigma^2 of the spectrum."""
         p = self.singular_values**2
         p = p[p > 0]
-        return float(-(p * np.log2(p)).sum())
+        return float(-(p * np.log2(p)).sum() + 0.0)  # +0.0 folds -0.0 into 0.0
 
 
 def _svd_sweep(amps: np.ndarray, n: int, keep_rule: Callable) -> tuple[list, float]:
@@ -173,6 +173,8 @@ def mps_from_json(obj: dict) -> MpsState:
         raise ValidationError(f"malformed MPS object: bad or missing {exc}") from exc
     if type(n) is not int:  # a JSON integer: not a bool, a fraction or a numeric string
         raise ValidationError(f"MPS n must be an integer, got {n!r}")
+    if n > MAX_QUBITS:  # before any tensor is decoded or contracted to 2^n amplitudes
+        raise CapacityError(f"MPS on n={n} sites exceeds the simulator cap of {MAX_QUBITS} qubits")
     if not isinstance(site_objs, list):
         raise ValidationError(f"MPS tensors must be a list, got {type(site_objs).__name__}")
     if len(site_objs) != n:

@@ -89,11 +89,6 @@ def _forward(circuit: AnsatzCircuit, theta: np.ndarray, q: BlackBoxUnitary):
     return mats, prepared, kicked, apply_staircase(circuit, mats, kicked, adjoint=True)
 
 
-def evolved_state(circuit: AnsatzCircuit, theta: np.ndarray, q: BlackBoxUnitary) -> Statevector:
-    """U(theta)^dagger Q U(theta)|0...0>: prepare, apply the oracle, unprepare."""
-    return Statevector(circuit.n, _forward(circuit, theta, q)[-1])
-
-
 def probabilities(circuit: AnsatzCircuit, theta: np.ndarray, q: BlackBoxUnitary) -> np.ndarray:
     """p_i(theta) for every qubit i."""
     return _qubit_zero_probs(_forward(circuit, theta, q)[-1], circuit.n)
@@ -159,8 +154,7 @@ def loss_gradient_fd(
     if step <= 0:
         raise ValidationError(f"step must be > 0, got {step}")
     theta = np.asarray(theta, dtype=float)
-    objective = _make_objective(circuit, q, shots=0, shot_rng=None)
-    return central_difference(objective, theta, step)
+    return central_difference(lambda t: log_likelihood(probabilities(circuit, t, q)), theta, step)
 
 
 def central_difference(fn: Callable, theta: np.ndarray, step: float) -> np.ndarray:
@@ -262,9 +256,9 @@ def _spsa(tracked, theta0, config, trace):
     tracked(theta)
 
 
-def _lbfgsb(tracked, theta0, config, trace):
-    """L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) on the objective's own gradient ("lbfgs")
-    or on central differences; its first call, at theta0, gives trace entry 0."""
+def _lbfgsb(tracked, theta0, config, trace, fd_step=None):
+    """L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) on the objective's own gradient, or on
+    central differences with fd_step; its first call, at theta0, gives trace entry 0."""
 
     def fun(theta):
         out = tracked(theta)
@@ -272,29 +266,20 @@ def _lbfgsb(tracked, theta0, config, trace):
             trace.append((0, tracked.best_loss))
         return out
 
-    exact = config.method in (None, "lbfgs")
-    jac = True if exact else lambda theta: central_difference(tracked, theta, FD_STEP)
+    jac = True if fd_step is None else lambda theta: central_difference(tracked, theta, fd_step)
     options = {"maxiter": config.max_iters, "maxfun": 10**9, "ftol": config.tol_loss, "gtol": 0.0}
     _scipy_minimize(fun, tracked, theta0, trace, "L-BFGS-B", options, jac=jac)
 
 
-_METHODS = {"nelder-mead": _nelder_mead, "spsa": _spsa, "fd-gradient-descent": _lbfgsb,
-            "lbfgs": _lbfgsb}
+# The one table of method names: each entry runs one minimization from theta0.
+_METHODS = {"nelder-mead": _nelder_mead, "spsa": _spsa, "lbfgs": _lbfgsb,
+            "fd-gradient-descent": functools.partial(_lbfgsb, fd_step=FD_STEP)}
 
 
-def _make_objective(circuit, q, shots, shot_rng, method=None):
-    if shots:
-
-        def shot_objective(theta):
-            state = evolved_state(circuit, theta, q)
-            seed = int(shot_rng.integers(0, 2**31))
-            return log_likelihood(sample_probs(state, shots, seed))
-
-        return shot_objective
-
-    if method == "lbfgs":
-        return lambda theta: loss_and_gradient(circuit, theta, q)
-    return lambda theta: log_likelihood(probabilities(circuit, theta, q))
+def _shot_loss(circuit, theta, q, shots: int, rng: np.random.Generator) -> float:
+    """The loss on per-qubit probabilities estimated from `shots` seeded samples of psi."""
+    state = Statevector(circuit.n, _forward(circuit, theta, q)[-1])
+    return log_likelihood(sample_probs(state, shots, int(rng.integers(0, 2**31))))
 
 
 def run_sweep(
@@ -325,45 +310,39 @@ def run_sweep(
         raise ValidationError(f"k_max={k_max} outside valid range [0, {n // 2}] for n={n}")
     if q.n != n:
         raise ShapeError(f"oracle on {q.n} qubits does not match n={n}")
+    method = "spsa" if shots else config.method or "lbfgs"
+    target = 1.0 - cert_tol
     per_k: list[SweepEntry] = []
-    previous: tuple[AnsatzCircuit, np.ndarray] | None = None
-    terminated = False
-    reason = ""
     for k in range(k_max + 1):
         started = time.perf_counter()
         circuit = build_mps_ansatz(n, k)
         candidates: list[tuple[np.ndarray, float, float, tuple]] = []
-        lifted = None
-        if previous is not None:
-            lifted = embed_parameters(previous[0], previous[1], circuit)
-            report = objective_report(circuit, lifted, q)
-            candidates.append((lifted, report.loss, report.certificate, ((0, report.loss),)))
-        restarts = 0 if candidates and candidates[0][2] >= 1.0 - cert_tol else config.restarts
-        for restart in range(restarts):
-            if restart == 0 and lifted is not None:
-                theta0 = lifted
+        for restart in range(config.restarts):
+            if restart == 0 and per_k:  # the lifted optimum: a candidate, then the start
+                theta0 = embed_parameters(build_mps_ansatz(n, k - 1), per_k[-1].theta, circuit)
+                report = objective_report(circuit, theta0, q)
+                candidates.append((theta0, report.loss, report.certificate, ((0, report.loss),)))
+                if report.certificate >= target:
+                    break
             else:
                 rng = np.random.default_rng((config.seed, k, restart))
                 theta0 = rng.uniform(0.0, 2.0 * np.pi, circuit.total_params)
-            run_config = replace(
-                config,
-                method="spsa" if shots else (config.method or "lbfgs"),
-                seed=int(np.random.default_rng((config.seed, k, restart, 7)).integers(2**31)),
-            )
-            shot_rng = np.random.default_rng((config.seed, k, restart, 3)) if shots else None
-            objective = _make_objective(circuit, q, shots, shot_rng, run_config.method)
-            theta_best, trace = minimize(objective, theta0, run_config, cert_tol)
-            report = objective_report(circuit, theta_best, q)
-            candidates.append((theta_best, report.loss, report.certificate, tuple(trace)))
-            if report.certificate >= 1.0 - cert_tol:
+            seed = int(np.random.default_rng((config.seed, k, restart, 7)).integers(2**31))
+            if shots:
+                shot_rng = np.random.default_rng((config.seed, k, restart, 3))
+                objective = lambda theta: _shot_loss(circuit, theta, q, shots, shot_rng)
+            elif method == "lbfgs":
+                objective = lambda theta: loss_and_gradient(circuit, theta, q)
+            else:
+                objective = lambda theta: log_likelihood(probabilities(circuit, theta, q))
+            theta, trace = minimize(objective, theta0, replace(config, method=method, seed=seed),
+                                    cert_tol)
+            report = objective_report(circuit, theta, q)  # right after minimize: see bench/spans.py
+            candidates.append((theta, report.loss, report.certificate, tuple(trace)))
+            if report.certificate >= target:
                 break
         theta, loss, cert, trace = max(candidates, key=lambda c: (c[2], -c[1]))
-        per_k.append(
-            SweepEntry(k, theta, loss, cert, trace, time.perf_counter() - started)
-        )
-        previous = (circuit, theta)
-        if cert >= 1.0 - cert_tol:
-            terminated = True
-            reason = f"certificate reached 1 - {cert_tol:g} at k={k}"
-            break
-    return SweepResult(tuple(per_k), terminated, reason)
+        per_k.append(SweepEntry(k, theta, loss, cert, trace, time.perf_counter() - started))
+        if cert >= target:
+            return SweepResult(tuple(per_k), True, f"certificate reached 1 - {cert_tol:g} at k={k}")
+    return SweepResult(tuple(per_k), False, "")

@@ -430,10 +430,12 @@ def test_analyze_one_qubit_mps(tmp_path, capsys):
 
 @pytest.mark.parametrize("amps", [[math.nan, 0.0], [1.0, math.inf]])
 def test_analyze_non_finite_mps_exits_2(tmp_path, capsys, amps):
-    assert cli.main(["analyze", one_qubit_mps_file(tmp_path, amps)]) == 2
+    path = one_qubit_mps_file(tmp_path, amps)
+    assert cli.main(["analyze", path]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "non-finite" in err
+    assert err.count(path) == 1
 
 
 def test_analyze_one_qubit_zero_mps_exits_2(tmp_path, capsys):
@@ -454,15 +456,30 @@ def test_analyze_one_qubit_zero_mps_exits_2(tmp_path, capsys):
         lambda obj: obj["tensors"][-1].update(shape=[-1, 2, -1]),
         lambda obj: obj["tensors"][-1].update(shape=[1.5, 2, 1]),  # once read as (1, 2, 1)
         lambda obj: obj["tensors"][-1].update(shape=[True, 2, 1]),
+        lambda obj: obj.update(n=3),
+        lambda obj: obj["tensors"][-1].update(shape=[1, 2, 3]),
     ],
     ids=["tensors-int", "n-str", "n-numeric-str", "n-float", "shape-str", "shape-negative",
-         "shape-float", "shape-bool"],
+         "shape-float", "shape-bool", "count-mismatch", "shape-unfilled"],
 )
 def test_analyze_malformed_mps_exits_2(tmp_path, capsys, mutate):
     obj = mps_to_json(statevector_to_mps(zero_state(2)))
     mutate(obj)
-    assert cli.main(["analyze", write_json(tmp_path / "bad.json", obj)]) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    path = write_json(tmp_path / "bad.json", obj)
+    assert cli.main(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count(path) == 1  # named once, by the one file reader
+
+
+def test_analyze_rejects_an_mps_above_the_qubit_cap(tmp_path, capsys):
+    # 21 product sites: a few kB of file, 2^21 amplitudes once contracted
+    site = {"shape": [1, 2, 1], "re": [1.0, 0.0], "im": [0.0, 0.0]}
+    path = write_json(tmp_path / "wide.json", {"n": 21, "bond_dims": [1] * 20, "tensors": [site] * 21})
+    assert cli.main(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "cap" in err and err.count(path) == 1
 
 
 @pytest.mark.parametrize("scale, code", [(5.0, 2), (1 + 1e-6, 2), (1 - 1e-6, 2), (1 + 1e-10, 0)])
@@ -470,10 +487,12 @@ def test_analyze_takes_only_a_normalized_mps(tmp_path, capsys, scale, code):
     # unnormalized, the cut's ebits came out negative and the rank-1 truncation error 0
     mps = statevector_to_mps(ghz(2))
     scaled = MpsState((mps.tensors[0] * scale, *mps.tensors[1:]))
-    assert cli.main(["analyze", write_json(tmp_path / "scaled.json", mps_to_json(scaled))]) == code
+    path = write_json(tmp_path / "scaled.json", mps_to_json(scaled))
+    assert cli.main(["analyze", path]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert ("norm" in err) == (code == 2)
+    assert err.count(path) == (code == 2)
 
 
 @pytest.mark.parametrize(

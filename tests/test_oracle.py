@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_state, random_unitary
 from eigenmps.ansatz import build_mps_ansatz
-from eigenmps.errors import DimacsError, ShapeError, ValidationError
+from eigenmps.errors import CapacityError, DimacsError, ShapeError, ValidationError
 from eigenmps.oracle import (
     BlackBoxUnitary,
     SatInstance,
@@ -74,6 +74,19 @@ def test_dense_rejects_nan_entries():
 def test_hamiltonian_evolution_rejects_nan(h, t):
     with pytest.raises(ValidationError):
         from_hamiltonian_evolution(h, t)
+
+
+def test_hamiltonian_evolution_checks_its_size_before_eigh(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: pytest.fail("eigh ran on an oversize input"))
+    h = np.broadcast_to(0.0, (2**13, 2**13))  # a view of one float: nothing allocated
+    with pytest.raises(CapacityError):
+        from_hamiltonian_evolution(h, 1.0)
+
+
+def test_hamiltonian_evolution_rejects_overflowing_phases():
+    # lam t = 1e310 overflows to inf; the evolution would hold NaN entries
+    with pytest.raises(ValidationError, match="not finite"):
+        from_hamiltonian_evolution(np.diag([1e300, 0.0]), 1e10)
 
 
 def test_diagonal_phase_oracle_rejects_nan_phase():

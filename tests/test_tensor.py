@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -122,6 +124,11 @@ def test_entanglement_ebits_examples():
     assert entanglement_ebits(bell(), 1) == pytest.approx(1.0)
     for cut in range(1, 4):
         assert entanglement_ebits(ghz(4), cut) == pytest.approx(1.0)
+
+
+def test_ebits_of_an_exact_product_cut_is_positive_zero():
+    ebits = schmidt_spectrum(zero_state(3), 1).ebits
+    assert ebits == 0.0 and math.copysign(1.0, ebits) == 1.0  # not -0.0, which prints as "-0"
 
 
 def test_ebits_bounded_by_log_rank():
