@@ -164,6 +164,9 @@ def config_from_dict(obj: dict) -> RunConfig:
     config = RunConfig(**top)
     if config.shots < 0:
         raise ValidationError(f"shots must be >= 0, got {config.shots}")
+    if config.shots and config.optimizer.method not in (None, "spsa"):
+        raise ValidationError(f"shots > 0 needs optimizer method null or 'spsa', "
+                              f"got {config.optimizer.method!r}")
     if not 0.0 <= config.cert_tol < 1.0:
         raise ValidationError(f"cert_tol must lie in [0, 1), got {config.cert_tol}")
     return config

@@ -124,8 +124,9 @@ def from_hamiltonian_evolution(h: np.ndarray, t: float) -> BlackBoxUnitary:
             f"{ORACLE_UNITARY_TOL:g}"
         )
     lam, vec = np.linalg.eigh(h)
-    if not np.isfinite(lam * t).all():  # U is unitary by construction unless lam t overflows
-        raise ValidationError(f"Hamiltonian evolution phases lam t are not finite at t={t!r}")
+    with np.errstate(over="ignore"):  # an overflowing lam t is an error here, not a warning
+        if not np.isfinite(lam * t).all():  # U is unitary by construction unless lam t overflows
+            raise ValidationError(f"Hamiltonian evolution phases lam t are not finite at t={t!r}")
     u = (vec * np.exp(-1j * lam * t)) @ vec.conj().T
     return BlackBoxUnitary(n, "dense", matrix=u)
 

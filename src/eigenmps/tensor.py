@@ -64,7 +64,7 @@ class SchmidtData:
         """Von Neumann entropy -sum sigma^2 log2 sigma^2 of the spectrum."""
         p = self.singular_values**2
         p = p[p > 0]
-        return float(-(p * np.log2(p)).sum() + 0.0)  # +0.0 folds -0.0 into 0.0
+        return max(0.0, float(-(p * np.log2(p)).sum()))  # no -0.0, no -ulps for sigma just above 1
 
 
 def _svd_sweep(amps: np.ndarray, n: int, keep_rule: Callable) -> tuple[list, float]:

@@ -11,7 +11,6 @@ reports and terminates on.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -43,7 +42,7 @@ class ObjectiveReport:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    method: str | None = None  # None: "lbfgs" (run_sweep's shots mode forces "spsa")
+    method: str | None = None  # None: "lbfgs", or "spsa" in run_sweep's shots mode
     max_iters: int = 500
     tol_loss: float = 1e-10
     restarts: int = 1
@@ -168,9 +167,10 @@ def central_difference(fn: Callable, theta: np.ndarray, step: float) -> np.ndarr
 
 
 class _Tracked:
-    """Objective wrapper: tracks the best-seen point, rejects non-finite values.  Of an
-    objective returning (loss, gradient, certificate) it passes on (loss, gradient) and
-    keeps the best point's certificate, which stops a scipy method at 1 - cert_tol."""
+    """Objective wrapper: tracks the best-seen point, rejects non-finite values and writes
+    the trace of (iteration, best loss) pairs: entry 0 at the first call, one per step().
+    Of an objective returning (loss, gradient, certificate) it passes on (loss, gradient)
+    and keeps the best point's certificate, which makes step() stop at 1 - cert_tol."""
 
     def __init__(self, fn: Callable, cert_tol: float | None = None):
         self.fn = fn
@@ -178,6 +178,7 @@ class _Tracked:
         self.best_theta: np.ndarray | None = None
         self.best_certificate = -math.inf
         self.target = math.inf if cert_tol is None else 1.0 - cert_tol
+        self.trace: list[tuple[int, float]] = []
 
     def __call__(self, theta: np.ndarray):
         theta = np.asarray(theta, dtype=float)
@@ -189,7 +190,15 @@ class _Tracked:
         if value < self.best_loss:
             self.best_loss, self.best_theta = value, theta.copy()
             self.best_certificate = extra[1] if extra else -math.inf
+        if not self.trace:  # no certificate check: scipy stops on StopIteration only from step
+            self.trace.append((0, self.best_loss))
         return (value, extra[0]) if extra else value
+
+    def step(self, _theta=None) -> None:
+        """One iteration done (a scipy callback): trace it, stop once certified."""
+        self.trace.append((len(self.trace), self.best_loss))
+        if self.best_certificate >= self.target:
+            raise StopIteration
 
 
 def minimize(
@@ -200,38 +209,19 @@ def minimize(
 ) -> tuple[np.ndarray, list[tuple[int, float]]]:
     """Run one minimization from theta0 with config.method ("lbfgs" when None).
 
-    Nelder-Mead and SPSA use objective values only; fd-gradient-descent is L-BFGS-B
-    on central-difference gradients, "lbfgs" L-BFGS-B on an objective returning (loss,
+    SPSA and fd-gradient-descent use objective values only, the latter as L-BFGS-B on
+    central-difference gradients; "lbfgs" is L-BFGS-B on an objective returning (loss,
     gradient, certificate) like loss_and_gradient, stopped once the best point's
     certificate reaches 1 - cert_tol.  Returns the best-seen parameter vector and a
     non-increasing trace of (iteration, best loss) pairs; deterministic given config.seed.
     """
     theta0 = np.asarray(theta0, dtype=float)
     tracked = _Tracked(objective, cert_tol)
-    trace: list[tuple[int, float]] = []
-    _METHODS[config.method or "lbfgs"](tracked, theta0, config, trace)
-    return tracked.best_theta, trace
+    _METHODS[config.method or "lbfgs"](tracked, theta0, config)
+    return tracked.best_theta, tracked.trace
 
 
-def _scipy_minimize(fun, tracked, theta0, trace, method, options, jac=None):
-    """scipy.optimize.minimize on fun, one (iteration, best loss) trace entry per callback."""
-    iterations = itertools.count(1)
-
-    def record(_xk):
-        trace.append((next(iterations), tracked.best_loss))
-        if tracked.best_certificate >= tracked.target:
-            raise StopIteration
-
-    scipy.optimize.minimize(fun, theta0, method=method, jac=jac, callback=record, options=options)
-
-
-def _nelder_mead(tracked, theta0, config, trace):
-    options = {"maxiter": config.max_iters, "maxfev": 10**9, "fatol": config.tol_loss,
-               "xatol": 1e-8, "adaptive": theta0.size > 10}
-    _scipy_minimize(tracked, tracked, theta0, trace, "Nelder-Mead", options)
-
-
-def _spsa(tracked, theta0, config, trace):
+def _spsa(tracked, theta0, config):
     """Simultaneous-perturbation stochastic approximation with standard gains."""
     rng = np.random.default_rng(config.seed)
     theta = theta0.copy()
@@ -239,7 +229,6 @@ def _spsa(tracked, theta0, config, trace):
     stability = 0.1 * config.max_iters
     alpha, gamma = 0.602, 0.101
     tracked(theta)
-    trace.append((0, tracked.best_loss))
     window_best = tracked.best_loss
     for it in range(1, config.max_iters + 1):
         ak = a0 / (stability + it) ** alpha
@@ -248,7 +237,7 @@ def _spsa(tracked, theta0, config, trace):
         plus = tracked(theta + ck * delta)
         minus = tracked(theta - ck * delta)
         theta = theta - ak * (plus - minus) / (2.0 * ck) * (1.0 / delta)
-        trace.append((it, tracked.best_loss))
+        tracked.step()
         if it % 50 == 0:
             if window_best - tracked.best_loss < config.tol_loss:
                 break
@@ -256,23 +245,17 @@ def _spsa(tracked, theta0, config, trace):
     tracked(theta)
 
 
-def _lbfgsb(tracked, theta0, config, trace, fd_step=None):
+def _lbfgsb(tracked, theta0, config, fd_step=None):
     """L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) on the objective's own gradient, or on
-    central differences with fd_step; its first call, at theta0, gives trace entry 0."""
-
-    def fun(theta):
-        out = tracked(theta)
-        if not trace:
-            trace.append((0, tracked.best_loss))
-        return out
-
+    central differences with fd_step."""
     jac = True if fd_step is None else lambda theta: central_difference(tracked, theta, fd_step)
     options = {"maxiter": config.max_iters, "maxfun": 10**9, "ftol": config.tol_loss, "gtol": 0.0}
-    _scipy_minimize(fun, tracked, theta0, trace, "L-BFGS-B", options, jac=jac)
+    scipy.optimize.minimize(tracked, theta0, method="L-BFGS-B", jac=jac, callback=tracked.step,
+                            options=options)
 
 
 # The one table of method names: each entry runs one minimization from theta0.
-_METHODS = {"nelder-mead": _nelder_mead, "spsa": _spsa, "lbfgs": _lbfgsb,
+_METHODS = {"spsa": _spsa, "lbfgs": _lbfgsb,
             "fd-gradient-descent": functools.partial(_lbfgsb, fd_step=FD_STEP)}
 
 

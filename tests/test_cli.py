@@ -36,7 +36,7 @@ def base_config(tmp_path, n=3, **overrides):
         "n": n,
         "k_max": 1,
         "oracle": {"type": "dense", "path": identity_oracle_file(tmp_path, n)},
-        "optimizer": {"method": "nelder-mead", "max_iters": 50, "restarts": 1},
+        "optimizer": {"method": None, "max_iters": 50, "restarts": 1},
         "shots": 0,
         "cert_tol": 1e-6,
         "seed": 7,
@@ -67,6 +67,8 @@ def test_config_round_trip(tmp_path):
         (lambda c: c.update(oracle={"type": "planted", "planted": {"k": 1}}), "seed"),
         (lambda c: c.update(shots=-1), "shots"),
         (lambda c: c["optimizer"].update(method=["spsa"]), "method"),
+        pytest.param(lambda c: c["optimizer"].update(method="nelder-mead"), "method",
+                     id="nelder-mead"),  # named, so the row above keeps its id
         (lambda c: c["optimizer"].update(tol_loss=-1e-9), "tol_loss"),
     ],
 )
@@ -98,7 +100,7 @@ def test_run_satisfiable_dimacs(tmp_path):
         tmp_path,
         n=4,
         oracle={"type": "dimacs", "path": str(dimacs), "t": 0.3},
-        optimizer={"method": "nelder-mead", "max_iters": 400, "restarts": 3, "tol_loss": 1e-14},
+        optimizer={"method": None, "max_iters": 400, "restarts": 3, "tol_loss": 1e-14},
     )
     record = cli.main_run(cli.config_from_dict(raw))
     best = max(record["per_k"], key=lambda e: e["certificate"])
@@ -129,7 +131,7 @@ def test_run_tfi_preset(tmp_path):
         k_max=1,
         oracle={"type": "hamiltonian", "preset": "tfi", "t": 0.5,
                 "params": {"coupling": 1.0, "field": 0.7}},
-        optimizer={"method": "nelder-mead", "max_iters": 150, "restarts": 2},
+        optimizer={"method": None, "max_iters": 150, "restarts": 2},
     )
     record = cli.main_run(cli.config_from_dict(raw))
     assert record["per_k"][0]["certificate"] <= 1.0 + 1e-12
@@ -375,6 +377,9 @@ def test_analyze_zero_mps_exits_2(tmp_path, capsys):
         ({}, ["--shots", "-3"], "shots"),
         ({"oracle": {**PLANTED, "planted": {"k": 1, "seed": -1, "phases_seed": 6}}}, [],
          "oracle.planted.seed"),  # numpy rejects a negative seed once the oracle is built
+        # only SPSA runs on shots: an "lbfgs" config with shots must not run SPSA in silence
+        ({"optimizer": {"method": "lbfgs"}, "shots": 64}, [], "got 'lbfgs'"),
+        ({"optimizer": {"method": "lbfgs"}}, ["--shots", "64"], "got 'lbfgs'"),
     ],
 )
 def test_negative_seed_or_shots_exits_2_before_the_oracle_is_built(

@@ -83,6 +83,7 @@ def test_hamiltonian_evolution_checks_its_size_before_eigh(monkeypatch):
         from_hamiltonian_evolution(h, 1.0)
 
 
+@pytest.mark.filterwarnings("error")  # the overflow is an error to report, not a warning
 def test_hamiltonian_evolution_rejects_overflowing_phases():
     # lam t = 1e310 overflows to inf; the evolution would hold NaN entries
     with pytest.raises(ValidationError, match="not finite"):

@@ -10,6 +10,7 @@ from eigenmps.errors import ValidationError
 from eigenmps.simulator import Statevector, zero_state
 from eigenmps.tensor import (
     MpsState,
+    SchmidtData,
     entanglement_ebits,
     mps_from_json,
     mps_to_json,
@@ -129,6 +130,12 @@ def test_entanglement_ebits_examples():
 def test_ebits_of_an_exact_product_cut_is_positive_zero():
     ebits = schmidt_spectrum(zero_state(3), 1).ebits
     assert ebits == 0.0 and math.copysign(1.0, ebits) == 1.0  # not -0.0, which prints as "-0"
+
+
+def test_ebits_of_a_product_cut_rounded_above_one_is_positive_zero():
+    # sigma = 1 + 2.2e-16 gives -(p log2 p) = -6.4e-16 before the clamp
+    data = SchmidtData(1, np.array([np.nextafter(1.0, 2.0)]), 1)
+    assert data.ebits == 0.0 and math.copysign(1.0, data.ebits) == 1.0
 
 
 def test_ebits_bounded_by_log_rank():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import planted_recovery_instance, random_3sat, random_unitary
+from eigenmps import vqa
 from eigenmps.ansatz import block_matrices, build_mps_ansatz, prepare_state
 from eigenmps.errors import NumericalError, ValidationError
 from eigenmps.oracle import BlackBoxUnitary, default_sat_time, from_sat_instance
@@ -176,7 +177,7 @@ def test_gradient_step_consistency():
 
 
 def test_minimize_quadratic_bowl():
-    config = OptimizerConfig(method="nelder-mead", max_iters=200, tol_loss=1e-12)
+    config = OptimizerConfig(method="fd-gradient-descent", max_iters=200, tol_loss=1e-12)
     theta, trace = minimize(lambda t: float(np.sum(t**2)), np.array([1.0, 1.0]), config)
     assert float(np.sum(theta**2)) < 1e-8
     best = [loss for _, loss in trace]
@@ -187,7 +188,7 @@ def test_minimize_rosenbrock():
     def rosenbrock(t):
         return float((1 - t[0]) ** 2 + 100 * (t[1] - t[0] ** 2) ** 2)
 
-    config = OptimizerConfig(method="nelder-mead", max_iters=2000, tol_loss=1e-14)
+    config = OptimizerConfig(method="fd-gradient-descent", max_iters=2000, tol_loss=1e-14)
     theta, _ = minimize(rosenbrock, np.array([-1.2, 1.0]), config)
     assert np.max(np.abs(theta - 1.0)) < 1e-4
 
@@ -205,7 +206,9 @@ def test_minimize_planted_two_qubits():
     best_theta = None
     for restart in range(5):
         theta0 = np.random.default_rng((41, restart)).uniform(0, 2 * np.pi, 15)
-        config = OptimizerConfig(method="nelder-mead", max_iters=3000, tol_loss=1e-14, seed=restart)
+        config = OptimizerConfig(
+            method="fd-gradient-descent", max_iters=3000, tol_loss=1e-14, seed=restart
+        )
         theta, _ = minimize(objective, theta0, config)
         loss = objective(theta)
         if loss < best_loss:
@@ -218,7 +221,7 @@ def test_minimize_planted_two_qubits():
 
 
 def test_minimize_aborts_on_non_finite():
-    config = OptimizerConfig(method="nelder-mead", max_iters=50)
+    config = OptimizerConfig(method="fd-gradient-descent", max_iters=50)
     with pytest.raises(NumericalError, match="theta"):
         minimize(lambda t: float("nan"), np.array([0.5]), config)
     config = OptimizerConfig(method="lbfgs", max_iters=50)
@@ -256,6 +259,8 @@ def test_fd_gradient_descent_at_zero_gradient():
 def test_optimizer_config_validation():
     with pytest.raises(ValidationError):
         OptimizerConfig(method="annealing")
+    with pytest.raises(ValidationError, match="nelder-mead"):
+        OptimizerConfig(method="nelder-mead")
     with pytest.raises(ValidationError):
         OptimizerConfig(max_iters=0)
     with pytest.raises(ValidationError, match="tol_loss"):
@@ -293,7 +298,7 @@ def _sweep_fingerprint(result):
 
 def test_run_sweep_deterministic_exact_and_shots():
     q = planted_recovery_instance(0)
-    config = OptimizerConfig(method="nelder-mead", max_iters=60, restarts=2, seed=77)
+    config = OptimizerConfig(method=None, max_iters=60, restarts=2, seed=77)
     a = run_sweep(4, 1, q, config, cert_tol=1e-9)
     b = run_sweep(4, 1, q, config, cert_tol=1e-9)
     assert _sweep_fingerprint(a) == _sweep_fingerprint(b)
@@ -386,11 +391,11 @@ def test_lbfgsb_methods_evaluate_theta0_once():
     q = random_oracle(rng, 3, dense=True)
     theta0 = rng.uniform(0, 2 * np.pi, circuit.total_params)
     start_loss = objective_report(circuit, theta0, q).loss
-    objectives = {
-        "fd-gradient-descent": lambda t: log_likelihood(probabilities(circuit, t, q)),
-        "lbfgs": lambda t: loss_and_gradient(circuit, t, q),
-    }
-    for method, fn in objectives.items():
+    for method in vqa._METHODS:  # every method: one call at theta0, trace entry 0 its loss
+        if method == "lbfgs":
+            fn = lambda t: loss_and_gradient(circuit, t, q)
+        else:
+            fn = lambda t: log_likelihood(probabilities(circuit, t, q))
         at_theta0 = []
 
         def objective(theta):
