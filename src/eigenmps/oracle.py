@@ -114,9 +114,12 @@ def from_dense_matrix(m: np.ndarray) -> BlackBoxUnitary:
 
 
 def from_hamiltonian_evolution(h: np.ndarray, t: float) -> BlackBoxUnitary:
-    """exp(-i h t) by exact eigendecomposition; eigenvectors coincide with h's."""
+    """exp(-i h t) by exact eigendecomposition; eigenvectors coincide with h's.
+
+    eigh runs in h's own dtype, real symmetric for the tfi preset; U is complex.
+    """
     n = _dense_qubits(np.shape(h), "Hamiltonian")
-    h = np.asarray(h, dtype=np.complex128)
+    h = np.asarray(h, dtype=np.complex128 if np.iscomplexobj(h) else np.float64)
     defect = float(np.linalg.norm(h - h.conj().T))
     if not defect <= ORACLE_UNITARY_TOL:
         raise ValidationError(
@@ -137,6 +140,10 @@ def tfi_hamiltonian(n: int, coupling: float, transverse: float) -> np.ndarray:
     Built from bit patterns: Z_i is the sign of bit i of the basis index, and
     X_i couples each index to the one with bit i flipped.
     """
+    if not n >= 1:
+        raise ValidationError(f"TFI chain needs n >= 1 qubits, got n={n}")
+    if n > MAX_DENSE_QUBITS:
+        raise CapacityError(f"dense Hamiltonian capped at {MAX_DENSE_QUBITS} qubits, got n={n}")
     dim = 2**n
     index = np.arange(dim)
     spins = 1.0 - 2.0 * ((index[:, None] >> (n - 1 - np.arange(n))) & 1)

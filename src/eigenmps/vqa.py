@@ -150,7 +150,7 @@ def loss_gradient_fd(
     step: float,
 ) -> np.ndarray:
     """Central finite difference of the loss, coordinate by coordinate."""
-    if step <= 0:
+    if not step > 0:
         raise ValidationError(f"step must be > 0, got {step}")
     theta = np.asarray(theta, dtype=float)
     return central_difference(lambda t: log_likelihood(probabilities(circuit, t, q)), theta, step)

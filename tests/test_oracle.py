@@ -157,6 +157,47 @@ def test_tfi_hamiltonian_equals_kronecker_construction(n, coupling, transverse):
     assert h.tobytes() == _tfi_dense(n, coupling, transverse).tobytes()
 
 
+def test_tfi_hamiltonian_checks_its_size_before_allocating(monkeypatch):
+    monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("allocated before the check"))
+    with pytest.raises(CapacityError):
+        tfi_hamiltonian(13, 1.0, 1.0)
+    for n in (0, -1):
+        with pytest.raises(ValidationError, match="n >= 1"):
+            tfi_hamiltonian(n, 1.0, 1.0)
+
+
+def _real_hamiltonians():
+    for n in range(1, 7):
+        for coupling, transverse, t in [(1.0, 1.0, 1.0), (0.3, 0.7, 0.45), (-0.4, 1.3, 2.9)]:
+            h = tfi_hamiltonian(n, coupling, transverse)
+            yield pytest.param(h, t, id=f"tfi-{n}-{coupling}-{transverse}-{t}")
+    a = np.random.default_rng(41).normal(size=(32, 32))
+    yield pytest.param(a + a.T, 0.8, id="random-symmetric")
+
+
+@pytest.mark.parametrize("h, t", _real_hamiltonians())
+def test_real_hamiltonian_evolution_matches_the_complex_reference(h, t):
+    real = from_hamiltonian_evolution(h, t).matrix
+    reference = from_hamiltonian_evolution(h.astype(complex), t).matrix
+    assert real.dtype == np.complex128
+    assert np.max(np.abs(real - reference)) < 1e-12
+
+
+def test_hamiltonian_evolution_runs_eigh_in_the_dtype_of_h(monkeypatch):
+    seen, eigh = [], np.linalg.eigh
+
+    def spy(h):
+        seen.append(h.dtype)
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    h = tfi_hamiltonian(3, 1.0, 1.0)  # integer entries, so astype(int) is exact
+    from_hamiltonian_evolution(h, 0.5)
+    from_hamiltonian_evolution(h.astype(int), 0.5)
+    from_hamiltonian_evolution(h.astype(complex), 0.5)
+    assert seen == [np.float64, np.float64, np.complex128]
+
+
 def test_spectral_consistency_all_eigenpairs():
     rng = np.random.default_rng(23)
     h = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))

@@ -172,8 +172,15 @@ def test_gradient_step_consistency():
     coarse = loss_gradient_fd(circuit, theta, q, step=1e-4)
     fine = loss_gradient_fd(circuit, theta, q, step=1e-5)
     assert np.max(np.abs(coarse - fine)) < 1e-4
-    with pytest.raises(ValidationError):
-        loss_gradient_fd(circuit, theta, q, step=0.0)
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-5, float("nan")])
+def test_loss_gradient_fd_rejects_a_step_that_is_not_positive(step):
+    circuit = build_mps_ansatz(2, 0)
+    q = from_dense_matrix(np.eye(4))
+    theta = np.zeros(circuit.total_params)
+    with pytest.raises(ValidationError, match="step"):
+        loss_gradient_fd(circuit, theta, q, step=step)
 
 
 def test_minimize_quadratic_bowl():
