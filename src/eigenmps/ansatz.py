@@ -4,7 +4,8 @@ An ebit budget k >= 1 uses n-k blocks of width k+1; block j acts on the
 contiguous qubits [j, j+k] and consecutive blocks overlap on k qubits, which
 caps the Schmidt rank at 2^k across every contiguous cut of the output.
 Each block is the full special-unitary exponential over the non-identity
-Pauli strings of its width (4^(k+1) - 1 real coefficients).
+Pauli strings of its width w = k+1 <= MAX_BLOCK_WIDTH = 8 (4^w - 1 real
+coefficients); one per-qubit 4x4 transform maps coefficients to matrices and back.
 
 k = 0 is the product-state family with two angles per qubit,
 cos(t1)|0> + exp(-i t2) sin(t1)|1>, for 2n parameters in total.
@@ -15,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -29,16 +29,13 @@ from .simulator import (
     zero_state,
 )
 
-# Width-7 generator stacks would already need ~4 GB; anything above this cap
-# is far outside desk scale.
-MAX_BLOCK_WIDTH = 6
+# A block of width w has 4^w - 1 parameters, and every evaluation runs one
+# 2^w x 2^w eigh per block; width 8 (65535 parameters, a 256 x 256 eigh) reaches
+# k = n/2 up to n = 14 and stays at desk scale.
+MAX_BLOCK_WIDTH = 8
 
-_PAULI = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
+# Entries of I, X, Y, Z (rows) at one qubit's (i, j) pair (columns, index 2i + j).
+_PAULI_ENTRIES = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]])
 
 
 def pauli_strings(width: int) -> list[str]:
@@ -47,18 +44,27 @@ def pauli_strings(width: int) -> list[str]:
     return labels[1:]
 
 
-@lru_cache(maxsize=8)
-def _generator_stack(width: int) -> np.ndarray:
-    """Stacked (4^w - 1, 2^w, 2^w) array of the non-identity Pauli matrices."""
-    if width > MAX_BLOCK_WIDTH:
-        raise CapacityError(f"block width {width} exceeds supported cap {MAX_BLOCK_WIDTH}")
-    mats = []
-    for label in pauli_strings(width):
-        m = np.array([[1.0]], dtype=np.complex128)
-        for ch in label:
-            m = np.kron(m, _PAULI[ch])
-        mats.append(m)
-    return np.stack(mats)
+def _per_qubit(x: np.ndarray, m: np.ndarray, width: int) -> np.ndarray:
+    """Contract each of the w base-4 digits of a (B, 4^w) array's index with axis 0 of m."""
+    for _ in range(width):  # the leading digit is contracted and moves last: w steps restore order
+        x = x.reshape(len(x), 4, -1).swapaxes(1, 2) @ m
+    return x.reshape(len(x), -1)
+
+
+def _pauli_sum(coeffs: np.ndarray, width: int) -> np.ndarray:
+    """sum_a coeffs[b, a] G_a for every block b: (B, 4^w - 1) -> (B, 2^w, 2^w)."""
+    full = np.concatenate([np.zeros((len(coeffs), 1)), coeffs], axis=1)  # identity string: 0
+    h = _per_qubit(full, _PAULI_ENTRIES, width)  # digits (i_1 j_1, ..., i_w j_w)
+    rows_first = (0, *range(1, 2 * width, 2), *range(2, 2 * width + 1, 2))
+    h = h.reshape(-1, *(2,) * (2 * width)).transpose(rows_first)
+    return h.reshape(-1, 2**width, 2**width)
+
+
+def _pauli_traces(mats: np.ndarray, width: int) -> np.ndarray:
+    """tr(G_a M_b) = sum_ij (G_a)_ij (M_b)_ji for every block b: (B, 2^w, 2^w) -> (B, 4^w - 1)."""
+    column_row_pairs = (0, *(a for q in range(1, width + 1) for a in (q + width, q)))
+    paired = mats.reshape(-1, *(2,) * (2 * width)).transpose(column_row_pairs)
+    return _per_qubit(paired.reshape(len(mats), -1), _PAULI_ENTRIES.T, width)[:, 1:]
 
 
 @dataclass(frozen=True)
@@ -105,19 +111,14 @@ def build_mps_ansatz(n: int, k: int) -> AnsatzCircuit:
     return AnsatzCircuit(n, k, blocks, (n - k) * per_block)
 
 
-def _pauli_eigh(params: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of the generator H = sum_j params_j G_j."""
-    return np.linalg.eigh(np.tensordot(params, _generator_stack(width), axes=1))
+def _pauli_exponential(coeffs: np.ndarray, width: int) -> np.ndarray:
+    """exp(-i H_b) for every block's H_b = sum_a coeffs[b, a] G_a over the width-w strings.
 
-
-def _pauli_exponential(params: np.ndarray, width: int) -> np.ndarray:
-    """exp(-i H) with H = sum_j params_j G_j over the width-w Pauli strings.
-
-    The generator is Hermitian, so the exponential is computed exactly by
+    Each generator is Hermitian, so the exponential is computed exactly by
     eigendecomposition and the result is unitary by construction.
     """
-    lam, vec = _pauli_eigh(params, width)
-    return (vec * np.exp(-1j * lam)) @ vec.conj().T
+    lam, vec = np.linalg.eigh(_pauli_sum(coeffs, width))
+    return (vec * np.exp(-1j * lam)[:, None, :]) @ vec.conj().swapaxes(1, 2)
 
 
 def _product_qubit_matrix(theta1: float, theta2: float) -> np.ndarray:
@@ -129,11 +130,15 @@ def _product_qubit_matrix(theta1: float, theta2: float) -> np.ndarray:
 
 def block_unitary(params: np.ndarray, width: int) -> DenseUnitary:
     """exp(-i sum_j params_j G_j) as a validated block (see _pauli_exponential)."""
+    if width < 1:
+        raise ValidationError(f"block width must be >= 1, got {width}")
+    if width > MAX_BLOCK_WIDTH:
+        raise CapacityError(f"block width {width} exceeds supported cap {MAX_BLOCK_WIDTH}")
     params = np.asarray(params, dtype=float)
     expected = 4**width - 1
     if params.shape != (expected,):
         raise ShapeError(f"expected {expected} parameters for width {width}, got {params.shape}")
-    return DenseUnitary(_pauli_exponential(params, width))
+    return DenseUnitary(_pauli_exponential(params[None], width)[0])
 
 
 def product_qubit_unitary(theta1: float, theta2: float) -> DenseUnitary:
@@ -153,14 +158,9 @@ def block_matrices(circuit: AnsatzCircuit, theta: np.ndarray) -> list[np.ndarray
             f"parameter vector of length {theta.size} does not match "
             f"circuit with {circuit.total_params} parameters"
         )
-    mats = []
-    for spec in circuit.blocks:
-        chunk = theta[spec.param_offset : spec.param_offset + spec.param_len]
-        if circuit.k == 0:
-            mats.append(_product_qubit_matrix(chunk[0], chunk[1]))
-        else:
-            mats.append(_pauli_exponential(chunk, spec.window.width))
-    return mats
+    if circuit.k == 0:
+        return [_product_qubit_matrix(theta[2 * i], theta[2 * i + 1]) for i in range(circuit.n)]
+    return list(_pauli_exponential(theta.reshape(len(circuit.blocks), -1), circuit.k + 1))
 
 
 def block_parameter_gradient(circuit: AnsatzCircuit, theta: np.ndarray, windows: list) -> np.ndarray:
@@ -171,18 +171,19 @@ def block_parameter_gradient(circuit: AnsatzCircuit, theta: np.ndarray, windows:
     of exp(-i x) at the eigenvalues: d tr(B X)/dc_a = tr(G_a V (Gamma^T o V^+ X V) V^+).
     """
     theta = np.asarray(theta, dtype=float)
+    if circuit.k >= 1:
+        lam, vec = np.linalg.eigh(_pauli_sum(theta.reshape(len(circuit.blocks), -1), circuit.k + 1))
+        vh = vec.conj().swapaxes(1, 2)
+        half_gap = 0.5 * (lam[:, :, None] - lam[:, None, :])  # sinc: exact where eigenvalues meet
+        gamma = -1j * np.exp(-0.5j * (lam[:, :, None] + lam[:, None, :])) * np.sinc(half_gap / np.pi)
+        w = vec @ (gamma.swapaxes(1, 2) * (vh @ np.stack(windows) @ vec)) @ vh
+        return 2.0 * _pauli_traces(w, circuit.k + 1).real.ravel()
     grad = np.empty_like(theta)
     for spec, x in zip(circuit.blocks, windows):
         chunk = theta[spec.param_offset : spec.param_offset + spec.param_len]
-        if circuit.k == 0:  # d/dt1 turns t1 by pi/2; d/dt2 scales row 1 by -i
-            turned = _product_qubit_matrix(chunk[0] + 0.5 * np.pi, chunk[1])
-            g = np.array([np.trace(turned @ x), -1j * _product_qubit_matrix(*chunk)[1] @ x[:, 1]])
-        else:
-            lam, vec = _pauli_eigh(chunk, spec.window.width)
-            half_gap = 0.5 * (lam[:, None] - lam[None, :])  # sinc: exact where eigenvalues meet
-            gamma = -1j * np.exp(-0.5j * (lam[:, None] + lam[None, :])) * np.sinc(half_gap / np.pi)
-            w = vec @ (gamma.T * (vec.conj().T @ x @ vec)) @ vec.conj().T
-            g = np.einsum("aij,ji->a", _generator_stack(spec.window.width), w)
+        # d/dt1 turns t1 by pi/2; d/dt2 scales row 1 by -i
+        turned = _product_qubit_matrix(chunk[0] + 0.5 * np.pi, chunk[1])
+        g = np.array([np.trace(turned @ x), -1j * _product_qubit_matrix(*chunk)[1] @ x[:, 1]])
         grad[spec.param_offset : spec.param_offset + spec.param_len] = 2.0 * g.real
     return grad
 
@@ -216,8 +217,7 @@ def pauli_log_coefficients(u: np.ndarray) -> np.ndarray:
     h = (z * (-np.angle(np.diag(t)))) @ z.conj().T
     h = 0.5 * (h + h.conj().T)
     width = int(u.shape[0]).bit_length() - 1
-    stack = _generator_stack(width)
-    return np.einsum("kij,ji->k", stack, h).real / u.shape[0]
+    return _pauli_traces(h[None], width)[0].real / u.shape[0]
 
 
 def embed_parameters(

@@ -132,6 +132,7 @@ def config_from_dict(obj: dict) -> RunConfig:
         raise CapacityError(f"n={n} exceeds the simulator cap of {MAX_QUBITS} qubits")
     if not 0 <= k_max <= n // 2:
         raise ValidationError(f"k_max={k_max} outside valid range [0, {n // 2}] for n={n}")
+    build_mps_ansatz(n, k_max)  # its block-width cap, checked before any budget runs
 
     kind = top["oracle"].get("type")
     if kind not in ORACLE_TYPES:
@@ -152,8 +153,7 @@ def config_from_dict(obj: dict) -> RunConfig:
                 raise ValidationError(f"planted oracle spec is missing {key!r}")
             if planted[key] < 0:  # numpy seeds must be non-negative
                 raise ValidationError(f"oracle.planted.{key} must be >= 0, got {planted[key]}")
-        if planted["k"] > n // 2:
-            raise ValidationError(f"planted k={planted['k']} outside [0, {n // 2}]")
+        build_mps_ansatz(n, planted["k"])  # the budget range and block-width cap
     if kind != "dimacs" and n > MAX_DENSE_QUBITS:
         raise CapacityError(f"dense oracles are capped at {MAX_DENSE_QUBITS} qubits, got n={n}")
 

@@ -3,6 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eigenmps.ansatz import (
+    MAX_BLOCK_WIDTH,
+    _pauli_exponential,
+    _pauli_sum,
+    _pauli_traces,
     block_matrices,
     block_unitary,
     build_mps_ansatz,
@@ -10,11 +14,12 @@ from eigenmps.ansatz import (
     cost_estimate,
     ebit_bound,
     embed_parameters,
+    pauli_log_coefficients,
     pauli_strings,
     prepare_state,
     product_qubit_unitary,
 )
-from eigenmps.errors import ShapeError, ValidationError
+from eigenmps.errors import CapacityError, ShapeError, ValidationError
 from eigenmps.simulator import zero_state
 from eigenmps.tensor import rank, schmidt_spectrum
 
@@ -28,6 +33,9 @@ def test_build_shapes():
     c = build_mps_ansatz(6, 2)
     assert len(c.blocks) == 4 and c.total_params == 252
     assert [b.window.targets for b in c.blocks] == [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5)]
+    c = build_mps_ansatz(14, 7)  # k = n/2 at n = 14 takes the widest blocks
+    assert len(c.blocks) == 7 and c.total_params == 7 * (4**8 - 1)
+    assert all(b.window.width == MAX_BLOCK_WIDTH for b in c.blocks)
 
 
 def test_budget_out_of_range():
@@ -35,6 +43,8 @@ def test_budget_out_of_range():
         build_mps_ansatz(4, 3)
     with pytest.raises(ValidationError):
         build_mps_ansatz(5, -1)
+    with pytest.raises(CapacityError):
+        build_mps_ansatz(18, 8)  # width 9
 
 
 def test_parameter_tiling():
@@ -51,6 +61,56 @@ def test_pauli_strings_order():
     two = pauli_strings(2)
     assert len(two) == 15
     assert two[:5] == ["IX", "IY", "IZ", "XI", "XX"]
+
+
+PAULI = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.array([[1, 0], [0, -1]]),
+}
+
+
+def kron_pauli_stack(width):
+    """(4^w - 1, 2^w, 2^w) stack of the non-identity Pauli strings, built by Kronecker
+    products: the slow reference for the per-qubit transform."""
+    mats = []
+    for label in pauli_strings(width):
+        m = np.ones((1, 1), dtype=np.complex128)
+        for ch in label:
+            m = np.kron(m, PAULI[ch])
+        mats.append(m)
+    return np.stack(mats)
+
+
+@pytest.mark.parametrize("width", range(1, 6))
+def test_pauli_transform_matches_the_kron_stack(width):
+    rng = np.random.default_rng(30 + width)
+    stack = kron_pauli_stack(width)
+    coeffs = rng.normal(size=(3, 4**width - 1))
+    mats = rng.normal(size=(3, 2**width, 2**width)) + 1j * rng.normal(size=(3, 2**width, 2**width))
+    summed = np.tensordot(coeffs, stack, axes=1)
+    assert np.max(np.abs(_pauli_sum(coeffs, width) - summed)) <= 1e-13
+    traces = np.einsum("aij,bji->ba", stack, mats)
+    assert np.max(np.abs(_pauli_traces(mats, width) - traces)) <= 1e-13
+
+
+@pytest.mark.parametrize("width", range(1, 5))
+def test_pauli_log_coefficients_recover_small_coefficients(width):
+    # sum |c| < 1 bounds the generator's spectrum inside (-pi, pi), where the log is exact
+    coeffs = np.random.default_rng(40 + width).uniform(-1.0, 1.0, 4**width - 1) / 4**width
+    u = _pauli_exponential(coeffs[None], width)[0]
+    assert np.max(np.abs(pauli_log_coefficients(u) - coeffs)) <= 1e-13
+
+
+def test_block_unitary_checks_its_width_before_allocating(monkeypatch):
+    params = np.zeros(0)
+    monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("allocated before the check"))
+    for width in (0, -1):
+        with pytest.raises(ValidationError, match="width"):
+            block_unitary(params, width)
+    with pytest.raises(CapacityError):
+        block_unitary(params, MAX_BLOCK_WIDTH + 1)
 
 
 def test_block_unitary_zero_params_is_identity():
@@ -89,7 +149,7 @@ def test_block_unitary_lipschitz(seed, width):
 
 def test_block_wrappers_equal_block_matrices():
     rng = np.random.default_rng(12)
-    for n, k in [(4, 0), (4, 1), (6, 2)]:
+    for n, k in [(4, 0), (4, 1), (6, 2), (9, 4)]:  # batched over the blocks when k >= 1
         c = build_mps_ansatz(n, k)
         theta = rng.uniform(0, 2 * np.pi, c.total_params)
         for spec, m in zip(c.blocks, block_matrices(c, theta)):

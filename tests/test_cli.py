@@ -393,6 +393,19 @@ def test_negative_seed_or_shots_exits_2_before_the_oracle_is_built(
     assert fragment in err
 
 
+def test_budget_above_the_block_width_cap_exits_2_before_the_oracle_is_built(
+    tmp_path, capsys, monkeypatch
+):
+    # k_max=8 needs width-9 blocks; found in the sweep, it would come after budgets 0..7
+    monkeypatch.setattr(cli, "build_oracle", lambda config: pytest.fail("oracle was built"))
+    raw = base_config(tmp_path, k_max=8, oracle={"type": "dimacs", "path": "wide.cnf"})
+    raw["n"] = 18
+    code, err = run_exit_code(tmp_path, capsys, raw)
+    assert code == 2
+    assert "cap" in err
+    assert not Path(raw["output_path"]).exists()
+
+
 def test_cli_overrides_pass_config_validation(tmp_path, capsys):
     config_path = write_json(tmp_path / "config.json", base_config(tmp_path, shots=64))
     out = tmp_path / "shots.json"

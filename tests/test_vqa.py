@@ -349,6 +349,21 @@ def test_loss_and_gradient_matches_central_differences(n, k_share, dense, seed):
     assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(fd))))
 
 
+@pytest.mark.parametrize("n, k", [(8, 3), (10, 5), (14, 7)])
+def test_loss_and_gradient_on_wide_blocks_matches_a_directional_difference(n, k):
+    # block widths 4, 6 and 8, past the n <= 5 above: the gradient along one seeded direction
+    rng = np.random.default_rng((59, n, k))
+    circuit = build_mps_ansatz(n, k)
+    q = random_oracle(rng, n, dense=False)
+    theta = rng.uniform(0, 2 * np.pi, circuit.total_params)
+    direction = rng.normal(size=circuit.total_params)
+    direction /= np.linalg.norm(direction)
+    _, grad, _ = loss_and_gradient(circuit, theta, q)
+    loss = lambda t: log_likelihood(probabilities(circuit, t, q))
+    along = (loss(theta + 1e-4 * direction) - loss(theta - 1e-4 * direction)) / 2e-4
+    assert abs(grad @ direction - along) <= 1e-6
+
+
 def test_loss_and_gradient_loss_and_certificate_are_objective_reports():
     rng = np.random.default_rng(43)
     for n in range(1, 7):
