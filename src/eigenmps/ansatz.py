@@ -239,17 +239,9 @@ def embed_parameters(
         )
     prev_blocks = block_matrices(prev_circuit, prev_theta)
     eye2 = np.eye(2, dtype=np.complex128)
-    params = np.zeros(circuit.total_params)
-    last = len(circuit.blocks) - 1
-    for j, spec in enumerate(circuit.blocks):
-        if j < last:
-            target = np.kron(prev_blocks[j], eye2)
-        else:
-            target = np.kron(eye2, prev_blocks[j + 1]) @ np.kron(prev_blocks[j], eye2)
-        params[spec.param_offset : spec.param_offset + spec.param_len] = (
-            pauli_log_coefficients(target)
-        )
-    return params
+    targets = [np.kron(b, eye2) for b in prev_blocks[:-1]]  # prev_j (x) I for block j
+    targets[-1] = np.kron(eye2, prev_blocks[-1]) @ targets[-1]
+    return np.concatenate([pauli_log_coefficients(t) for t in targets])
 
 
 def cnot_lower_bound(r: int) -> float:

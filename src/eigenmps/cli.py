@@ -243,6 +243,8 @@ def build_oracle(config: RunConfig) -> BlackBoxUnitary:
 
 def main_run(config: RunConfig) -> dict:
     """Execute the sweep, build the run record and persist it atomically."""
+    if not os.path.isdir(os.path.dirname(os.path.abspath(config.output_path))):  # before the sweep
+        raise FileNotFoundError(f"no directory to write {config.output_path} in")
     q = build_oracle(config)
     result = run_sweep(
         config.n,

@@ -102,21 +102,28 @@ def zero_state(n: int) -> Statevector:
 
 
 def apply_matrix_raw(amps: np.ndarray, n: int, matrix: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
-    """Unvalidated kernel behind apply_block, for hot loops on raw arrays."""
-    w = len(targets)
-    psi = np.moveaxis(amps.reshape((2,) * n), targets, range(w))
-    shape = psi.shape
-    out = matrix @ psi.reshape(2**w, -1)
-    return np.moveaxis(out.reshape(shape), range(w), targets).reshape(-1)
+    """Unvalidated kernel behind apply_block; amps may stack vectors on leading axes.
+
+    A window of consecutive ascending qubits j .. j+w-1 (every staircase window) is one
+    matmul on a copy-free view: m on (..., 2^j, 2^w, rest), or m (x) I_rest on (..., 2^w rest)
+    once 2^j > 2^w rest^2 (measured); other windows are transposed to the front and back.
+    """
+    lead, w, j = amps.shape[:-1], len(targets), targets[0]
+    if targets == tuple(range(j, j + w)):
+        rest = 2 ** (n - j - w)
+        if 2**j <= 2**w * rest**2:
+            return (matrix @ amps.reshape(*lead, 2**j, 2**w, rest)).reshape(amps.shape)
+        widened = (matrix[:, None, :, None] * np.eye(rest)[:, None]).reshape(2**w * rest, -1)
+        return (amps.reshape(-1, 2**w * rest) @ widened.T).reshape(amps.shape)
+    others = [i for i in range(n) if i not in targets]
+    axes = [*range(len(lead)), *(len(lead) + i for i in (*targets, *others))]
+    psi = amps.reshape(*lead, *(2,) * n).transpose(axes)
+    out = matrix @ psi.reshape(*lead, 2**w, -1)
+    return out.reshape(psi.shape).transpose(np.argsort(axes)).reshape(amps.shape)
 
 
 def apply_block(state: Statevector, u: DenseUnitary, window: QubitWindow) -> Statevector:
-    """Apply u on the window qubits and the identity everywhere else.
-
-    The window axes are gathered to the front, the 2^w x 2^w matrix is
-    applied to every group of non-target indices at once, and the axes are
-    moved back.  Pure function: the input state is not modified.
-    """
+    """Apply u on the window qubits and the identity everywhere else; a pure function."""
     w = window.width
     if u.dim != 2**w:
         raise ShapeError(f"block of dimension {u.dim} does not fit a {w}-qubit window")
@@ -127,8 +134,12 @@ def apply_block(state: Statevector, u: DenseUnitary, window: QubitWindow) -> Sta
 
 def qubit_zero_probs(amps: np.ndarray, n: int) -> np.ndarray:
     """Per-qubit probability of reading 0: sum of |a_x|^2 over bit_i(x) = 0, for every i."""
-    probs = np.abs(amps.reshape((2,) * n)) ** 2
-    return np.array([probs.take(0, axis=i).sum() for i in range(n)])
+    return _zero_sums(np.abs(amps) ** 2, n)
+
+
+def _zero_sums(weights: np.ndarray, n: int) -> np.ndarray:
+    """Sum of weights[x] over bit_i(x) = 0, for every qubit i."""
+    return np.array([weights.reshape((2,) * n).take(0, axis=i).sum() for i in range(n)])
 
 
 def projector_prob(state: Statevector, i: int) -> float:
@@ -156,10 +167,6 @@ def sample_probs(state: Statevector, shots: int, seed: int) -> np.ndarray:
         raise ValidationError(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng(seed)
     p = np.abs(state.amplitudes) ** 2
-    p = p / p.sum()
-    outcomes = rng.choice(p.size, size=shots, p=p)
-    estimates = np.empty(state.n)
-    for i in range(state.n):
-        bits = (outcomes >> (state.n - 1 - i)) & 1
-        estimates[i] = 1.0 - float(bits.mean())
-    return estimates
+    outcomes = rng.choice(p.size, size=shots, p=p / p.sum())
+    ones = shots - _zero_sums(np.bincount(outcomes, minlength=p.size), state.n)
+    return 1.0 - ones / shots

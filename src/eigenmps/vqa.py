@@ -118,11 +118,11 @@ def objective_report(
 def loss_and_gradient(circuit: AnsatzCircuit, theta: np.ndarray, q: BlackBoxUnitary):
     """(loss, gradient, certificate) from one forward and one reverse (adjoint) pass.
 
-    Loss and certificate are bit-equal to objective_report's.  dL = 2 Re <lam|dpsi>
-    with lam = -w psi, w(x) the sum of 1/p_i over the qubits reading 0 in x (0 below
-    the clamp, where the loss is flat); Jones & Gacon, arXiv:2009.02823.  The reverse
-    pass undoes each block with B_j^dagger, so four running vectors stand in for the
-    intermediate states, and block j gets 2 Re tr(dB_j X_j) from its window matrix X_j.
+    Loss and certificate are bit-equal to objective_report's.  dL = 2 Re <lam|dpsi> with
+    lam = -w psi, w(x) the sum of 1/p_i over the qubits reading 0 in x (0 below the clamp,
+    where the loss is flat); Jones & Gacon, arXiv:2009.02823.  The reverse pass undoes each
+    block B_j on one stack [state, ahead, pulled, kicked]; pairing its halves gives Y_j =
+    X_j B_j, and block j gets 2 Re tr(dB_j X_j) from its window matrix X_j = Y_j B_j^dagger.
     """
     n = circuit.n
     mats, state, kicked, psi = _forward(circuit, theta, q)
@@ -130,15 +130,14 @@ def loss_and_gradient(circuit: AnsatzCircuit, theta: np.ndarray, q: BlackBoxUnit
     inverse = np.divide(1.0, p, out=np.zeros(n), where=p > DEFAULT_CLAMP)
     weight = np.asarray(functools.reduce(np.add.outer, ([v, 0.0] for v in inverse)))
     ahead = apply_staircase(circuit, mats, -weight.ravel() * psi)
-    pulled = oracle_apply_raw(q, ahead, adjoint=True)
+    rows = np.stack([state, ahead, oracle_apply_raw(q, ahead, adjoint=True), kicked])
+    del state, kicked, ahead  # only the stack stays alive through the sweep
     windows = []
     for spec, m in zip(reversed(circuit.blocks), reversed(mats)):
         targets, undo = spec.window.targets, m.conj().T
-        state, ahead = [apply_matrix_raw(v, n, undo, targets) for v in (state, ahead)]
-        shape = (2 ** targets[0], 2 ** len(targets), -1)  # staircase windows are contiguous
-        windows.append(sum(np.einsum("prq,psq->rs", u.reshape(shape), v.reshape(shape).conj())
-                           for u, v in ((state, pulled), (ahead, kicked))))
-        kicked, pulled = [apply_matrix_raw(v, n, undo, targets) for v in (kicked, pulled)]
+        rows = apply_matrix_raw(rows, n, undo, targets)
+        u, v = rows.reshape(2, 2, 2 ** targets[0], 2 ** len(targets), -1)  # contiguous window
+        windows.append(np.einsum("aprq,apsq->rs", u, v.conj()) @ undo)
     gradient = block_parameter_gradient(circuit, theta, windows[::-1])
     return log_likelihood(p), gradient, float(abs(psi[0]) ** 2)
 

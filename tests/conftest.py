@@ -16,6 +16,14 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def moveaxis_apply(amps: np.ndarray, n: int, matrix: np.ndarray, targets: tuple) -> np.ndarray:
+    """matrix on the targets of one amplitude vector, with every axis moved: the slow reference."""
+    w = len(targets)
+    psi = np.moveaxis(amps.reshape((2,) * n), targets, range(w))
+    out = matrix @ psi.reshape(2**w, -1)
+    return np.moveaxis(out.reshape(psi.shape), range(w), targets).reshape(-1)
+
+
 def random_state(rng: np.random.Generator, n: int) -> Statevector:
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return Statevector(n, amps / np.linalg.norm(amps))

@@ -406,6 +406,19 @@ def test_budget_above_the_block_width_cap_exits_2_before_the_oracle_is_built(
     assert not Path(raw["output_path"]).exists()
 
 
+def test_output_path_in_a_missing_directory_exits_3_before_the_oracle_is_built(
+    tmp_path, capsys, monkeypatch
+):
+    # found at the write, it would come after the whole sweep, with no record
+    monkeypatch.setattr(cli, "build_oracle", lambda config: pytest.fail("oracle was built"))
+    missing = tmp_path / "missing" / "record.json"
+    raw = base_config(tmp_path, n=4, oracle=PLANTED, output_path=str(missing))
+    code, err = run_exit_code(tmp_path, capsys, raw)
+    assert code == 3
+    assert str(missing) in err
+    assert not missing.parent.exists()
+
+
 def test_cli_overrides_pass_config_validation(tmp_path, capsys):
     config_path = write_json(tmp_path / "config.json", base_config(tmp_path, shots=64))
     out = tmp_path / "shots.json"

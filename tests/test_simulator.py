@@ -1,14 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import ghz, random_state, random_unitary
+from conftest import ghz, moveaxis_apply, random_state, random_unitary
 from eigenmps.errors import CapacityError, ShapeError, ValidationError
 from eigenmps.simulator import (
     DenseUnitary,
     QubitWindow,
     Statevector,
     apply_block,
+    apply_matrix_raw,
     inner_product,
     projector_prob,
     qubit_zero_probs,
@@ -184,3 +187,60 @@ def test_basis_index_contract():
                 state = apply_block(state, X, QubitWindow((i,)))
         expected = sum(b * 2 ** (n - 1 - i) for i, b in enumerate(bits))
         assert state.amplitudes[expected] == pytest.approx(1.0)
+
+
+def kron_operator(n, matrix, targets):
+    """matrix on the targets and the identity elsewhere, as a 2^n x 2^n array from np.kron."""
+    order = [*targets, *(i for i in range(n) if i not in targets)]
+    full = np.kron(matrix, np.eye(2 ** (n - len(targets))))  # qubits listed in `order`
+    # the row of each basis index x in `order`'s bit order
+    index = [sum(((x >> (n - 1 - q)) & 1) << (n - 1 - k) for k, q in enumerate(order))
+             for x in range(2**n)]
+    return full[np.ix_(index, index)]
+
+
+def every_window(n):
+    """Every ordered window of up to 3 qubits (contiguous, with gaps, reversed) and every
+    contiguous window wider than that."""
+    short = [t for w in range(1, min(n, 3) + 1) for t in itertools.permutations(range(n), w)]
+    wide = [tuple(range(j, j + w)) for w in range(4, n + 1) for j in range(n - w + 1)]
+    return short + wide
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_apply_matrix_raw_matches_the_kron_operator_and_the_moveaxis_reference(n):
+    rng = np.random.default_rng((67, n))
+    for targets in every_window(n):
+        m = random_unitary(rng, 2 ** len(targets))
+        op = kron_operator(n, m, targets)
+        for lead in [(), (3,), (2, 3)]:
+            amps = rng.normal(size=(*lead, 2**n)) + 1j * rng.normal(size=(*lead, 2**n))
+            out = apply_matrix_raw(amps, n, m, targets)
+            rows = amps.reshape(-1, 2**n)
+            one_by_one = np.array([apply_matrix_raw(v, n, m, targets) for v in rows])
+            reference = np.array([moveaxis_apply(v, n, m, targets) for v in rows])
+            assert out.shape == amps.shape
+            for other in (one_by_one, reference, rows @ op.T):
+                assert np.max(np.abs(out.reshape(-1, 2**n) - other)) <= 1e-13, (targets, lead)
+
+
+def loop_sample_probs(state, shots, seed):
+    """Per-qubit zero fractions, one pass over the outcomes per qubit: the slow reference."""
+    rng = np.random.default_rng(seed)
+    p = np.abs(state.amplitudes) ** 2
+    outcomes = rng.choice(p.size, size=shots, p=p / p.sum())
+    estimates = np.empty(state.n)
+    for i in range(state.n):
+        bits = (outcomes >> (state.n - 1 - i)) & 1
+        estimates[i] = 1.0 - float(bits.mean())
+    return estimates
+
+
+def test_sample_probs_equals_the_per_qubit_loop_bit_for_bit():
+    rng = np.random.default_rng(71)
+    for shots in (1, 3, 7, 100, 1000, 1024, 4097):
+        for n in range(1, 11):
+            state = random_state(rng, n)
+            seed = int(rng.integers(2**31))
+            assert sample_probs(state, shots, seed).tolist() == loop_sample_probs(
+                state, shots, seed).tolist(), (shots, n)

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -5,13 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import planted_recovery_instance, random_3sat, random_unitary
+from conftest import moveaxis_apply, planted_recovery_instance, random_3sat, random_unitary
 from eigenmps import vqa
-from eigenmps.ansatz import block_matrices, build_mps_ansatz, prepare_state
+from eigenmps.ansatz import block_matrices, block_parameter_gradient, build_mps_ansatz
+from eigenmps.ansatz import prepare_state
 from eigenmps.errors import NumericalError, ValidationError
 from eigenmps.oracle import BlackBoxUnitary, default_sat_time, from_sat_instance
-from eigenmps.oracle import apply as oracle_apply, from_dense_matrix, planted_unitary, to_matrix
-from eigenmps.simulator import inner_product
+from eigenmps.oracle import apply as oracle_apply, apply_raw, from_dense_matrix, planted_unitary
+from eigenmps.oracle import to_matrix
+from eigenmps.simulator import inner_product, qubit_zero_probs, zero_state
 from eigenmps.vqa import (
     OptimizerConfig,
     central_difference,
@@ -362,6 +365,48 @@ def test_loss_and_gradient_on_wide_blocks_matches_a_directional_difference(n, k)
     loss = lambda t: log_likelihood(probabilities(circuit, t, q))
     along = (loss(theta + 1e-4 * direction) - loss(theta - 1e-4 * direction)) / 2e-4
     assert abs(grad @ direction - along) <= 1e-6
+
+
+def four_vector_gradient(circuit, theta, q):
+    """The adjoint gradient with four running vectors on the moveaxis kernel: the slow reference."""
+    n, steps = circuit.n, list(zip(circuit.blocks, block_matrices(circuit, theta)))
+
+    def staircase(amps, adjoint=False):
+        for spec, m in reversed(steps) if adjoint else steps:
+            amps = moveaxis_apply(amps, n, m.conj().T if adjoint else m, spec.window.targets)
+        return amps
+
+    state = staircase(zero_state(n).amplitudes)
+    kicked = apply_raw(q, state)
+    psi = staircase(kicked, adjoint=True)
+    p = qubit_zero_probs(psi, n)
+    inverse = np.divide(1.0, p, out=np.zeros(n), where=p > vqa.DEFAULT_CLAMP)
+    weight = np.asarray(functools.reduce(np.add.outer, ([v, 0.0] for v in inverse)))
+    ahead = staircase(-weight.ravel() * psi)
+    pulled = apply_raw(q, ahead, adjoint=True)
+    windows = []
+    for spec, m in reversed(steps):
+        targets, undo = spec.window.targets, m.conj().T
+        state, ahead = [moveaxis_apply(v, n, undo, targets) for v in (state, ahead)]
+        shape = (2 ** targets[0], 2 ** len(targets), -1)
+        windows.append(sum(np.einsum("prq,psq->rs", u.reshape(shape), v.reshape(shape).conj())
+                           for u, v in ((state, pulled), (ahead, kicked))))
+        kicked, pulled = [moveaxis_apply(v, n, undo, targets) for v in (kicked, pulled)]
+    return block_parameter_gradient(circuit, theta, windows[::-1])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_loss_and_gradient_matches_the_four_vector_reverse_sweep(n):
+    rng = np.random.default_rng((73, n))
+    for k in range(n // 2 + 1):
+        circuit = build_mps_ansatz(n, k)
+        for dense in (True, False):
+            q = random_oracle(rng, n, dense)
+            theta = rng.uniform(0, 2 * np.pi, circuit.total_params)
+            _, grad, _ = loss_and_gradient(circuit, theta, q)
+            reference = four_vector_gradient(circuit, theta, q)
+            scale = float(np.max(np.abs(reference)))
+            assert np.max(np.abs(grad - reference)) <= 1e-12 * scale, (k, dense)
 
 
 def test_loss_and_gradient_loss_and_certificate_are_objective_reports():
