@@ -99,11 +99,8 @@ def build_mps_ansatz(n: int, k: int) -> AnsatzCircuit:
         raise ValidationError(f"ebit budget k={k} outside valid range [0, {n // 2}] for n={n}")
     if k + 1 > MAX_BLOCK_WIDTH:
         raise CapacityError(f"ebit budget k={k} needs block width {k + 1} > cap {MAX_BLOCK_WIDTH}")
-    if k == 0:
-        blocks = tuple(BlockSpec(QubitWindow((i,)), 2 * i, 2) for i in range(n))
-        return AnsatzCircuit(n, 0, blocks, 2 * n)
     width = k + 1
-    per_block = 4**width - 1
+    per_block = 2 if k == 0 else 4**width - 1  # k = 0: one (t1, t2) pair per qubit
     blocks = tuple(
         BlockSpec(QubitWindow(tuple(range(j, j + width))), j * per_block, per_block)
         for j in range(n - k)
@@ -121,11 +118,12 @@ def _pauli_exponential(coeffs: np.ndarray, width: int) -> np.ndarray:
     return (vec * np.exp(-1j * lam)[:, None, :]) @ vec.conj().swapaxes(1, 2)
 
 
-def _product_qubit_matrix(theta1: float, theta2: float) -> np.ndarray:
-    """2x2 unitary sending |0> to cos(theta1)|0> + exp(-i theta2) sin(theta1)|1>."""
-    c, s = math.cos(theta1), math.sin(theta1)
-    phase = complex(math.cos(theta2), -math.sin(theta2))
-    return np.array([[c, -s], [phase * s, phase * c]], dtype=np.complex128)
+def _product_blocks(angles: np.ndarray) -> np.ndarray:
+    """(B, 2) angles (t1, t2) -> (B, 2, 2) unitaries with |0> -> cos(t1)|0> + exp(-i t2) sin(t1)|1>."""
+    c, s = np.cos(angles[:, 0]), np.sin(angles[:, 0])
+    phase = np.cos(angles[:, 1]) + 0j
+    phase.imag = -np.sin(angles[:, 1])
+    return np.stack([c, -s, phase * s, phase * c], axis=1).reshape(-1, 2, 2)
 
 
 def block_unitary(params: np.ndarray, width: int) -> DenseUnitary:
@@ -142,12 +140,12 @@ def block_unitary(params: np.ndarray, width: int) -> DenseUnitary:
 
 
 def product_qubit_unitary(theta1: float, theta2: float) -> DenseUnitary:
-    """The product-qubit block as a validated block (see _product_qubit_matrix)."""
-    return DenseUnitary(_product_qubit_matrix(theta1, theta2))
+    """The product-qubit block as a validated block (see _product_blocks)."""
+    return DenseUnitary(_product_blocks(np.array([[theta1, theta2]], dtype=float))[0])
 
 
-def block_matrices(circuit: AnsatzCircuit, theta: np.ndarray) -> list[np.ndarray]:
-    """Raw block matrices at theta, skipping per-call unitarity validation.
+def block_matrices(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
+    """Raw (B, 2^w, 2^w) block matrices at theta, skipping per-call unitarity validation.
 
     Both parameterizations are unitary by construction; this is the kernel
     the optimizer loop runs on.
@@ -158,9 +156,8 @@ def block_matrices(circuit: AnsatzCircuit, theta: np.ndarray) -> list[np.ndarray
             f"parameter vector of length {theta.size} does not match "
             f"circuit with {circuit.total_params} parameters"
         )
-    if circuit.k == 0:
-        return [_product_qubit_matrix(theta[2 * i], theta[2 * i + 1]) for i in range(circuit.n)]
-    return list(_pauli_exponential(theta.reshape(len(circuit.blocks), -1), circuit.k + 1))
+    coeffs = theta.reshape(len(circuit.blocks), -1)  # (t1, t2) pairs when k = 0
+    return _product_blocks(coeffs) if circuit.k == 0 else _pauli_exponential(coeffs, circuit.k + 1)
 
 
 def block_parameter_gradient(circuit: AnsatzCircuit, theta: np.ndarray, windows: list) -> np.ndarray:
@@ -170,29 +167,27 @@ def block_parameter_gradient(circuit: AnsatzCircuit, theta: np.ndarray, windows:
     (Higham, Functions of Matrices, SIAM 2008), with Gamma the divided differences
     of exp(-i x) at the eigenvalues: d tr(B X)/dc_a = tr(G_a V (Gamma^T o V^+ X V) V^+).
     """
-    theta = np.asarray(theta, dtype=float)
+    coeffs = np.asarray(theta, dtype=float).reshape(len(circuit.blocks), -1)
+    x = np.stack(windows)
     if circuit.k >= 1:
-        lam, vec = np.linalg.eigh(_pauli_sum(theta.reshape(len(circuit.blocks), -1), circuit.k + 1))
+        lam, vec = np.linalg.eigh(_pauli_sum(coeffs, circuit.k + 1))
         vh = vec.conj().swapaxes(1, 2)
         half_gap = 0.5 * (lam[:, :, None] - lam[:, None, :])  # sinc: exact where eigenvalues meet
         gamma = -1j * np.exp(-0.5j * (lam[:, :, None] + lam[:, None, :])) * np.sinc(half_gap / np.pi)
-        w = vec @ (gamma.swapaxes(1, 2) * (vh @ np.stack(windows) @ vec)) @ vh
+        w = vec @ (gamma.swapaxes(1, 2) * (vh @ x @ vec)) @ vh
         return 2.0 * _pauli_traces(w, circuit.k + 1).real.ravel()
-    grad = np.empty_like(theta)
-    for spec, x in zip(circuit.blocks, windows):
-        chunk = theta[spec.param_offset : spec.param_offset + spec.param_len]
-        # d/dt1 turns t1 by pi/2; d/dt2 scales row 1 by -i
-        turned = _product_qubit_matrix(chunk[0] + 0.5 * np.pi, chunk[1])
-        g = np.array([np.trace(turned @ x), -1j * _product_qubit_matrix(*chunk)[1] @ x[:, 1]])
-        grad[spec.param_offset : spec.param_offset + spec.param_len] = 2.0 * g.real
-    return grad
+    # coeffs are the (t1, t2) pairs: d/dt1 turns t1 by pi/2; d/dt2 scales row 1 by -i
+    turned = np.column_stack([coeffs[:, 0] + 0.5 * np.pi, coeffs[:, 1]])
+    dt1 = np.trace(_product_blocks(turned) @ x, axis1=1, axis2=2)
+    dt2 = ((-1j * _product_blocks(coeffs)[:, 1, None]) @ x[:, :, 1, None])[:, 0, 0]
+    return 2.0 * np.stack([dt1, dt2], axis=1).real.ravel()
 
 
-def apply_staircase(circuit: AnsatzCircuit, mats: list, amps: np.ndarray, adjoint: bool = False):
+def apply_staircase(circuit: AnsatzCircuit, mats: np.ndarray, amps: np.ndarray, adjoint: bool = False):
     """U|amps> for U = the blocks mats in staircase order; with adjoint, U^dagger|amps>."""
     steps = zip(circuit.blocks, mats)
     if adjoint:
-        steps = ((spec, m.conj().T) for spec, m in zip(reversed(circuit.blocks), reversed(mats)))
+        steps = zip(circuit.blocks[::-1], mats.conj().swapaxes(1, 2)[::-1])
     for spec, m in steps:
         amps = apply_matrix_raw(amps, circuit.n, m, spec.window.targets)
     return amps

@@ -99,9 +99,14 @@ def log_likelihood(p: np.ndarray, clamp: float = DEFAULT_CLAMP) -> float:
     return float(-np.log(p).sum() + 0.0)  # +0.0 folds -0.0 into 0.0
 
 
+def _overlap(psi: np.ndarray) -> float:
+    """|<0|psi>|^2 capped at 1, which rounding in the block applies can exceed; NaN stays NaN."""
+    return min(float(abs(psi[0]) ** 2), 1.0)  # min(1.0, nan) would return 1.0
+
+
 def certificate(circuit: AnsatzCircuit, theta: np.ndarray, q: BlackBoxUnitary) -> float:
     """|<0|psi(theta)>|^2; equals 1 iff the prepared state is an eigenvector of Q."""
-    return float(abs(_forward(circuit, theta, q)[-1][0]) ** 2)
+    return _overlap(_forward(circuit, theta, q)[-1])
 
 
 def objective_report(
@@ -112,7 +117,7 @@ def objective_report(
     """Probabilities, loss and certificate from a single state construction."""
     amps = _forward(circuit, theta, q)[-1]
     p = _qubit_zero_probs(amps, circuit.n)
-    return ObjectiveReport(p, log_likelihood(p), float(abs(amps[0]) ** 2))
+    return ObjectiveReport(p, log_likelihood(p), _overlap(amps))
 
 
 def loss_and_gradient(circuit: AnsatzCircuit, theta: np.ndarray, q: BlackBoxUnitary):
@@ -133,13 +138,12 @@ def loss_and_gradient(circuit: AnsatzCircuit, theta: np.ndarray, q: BlackBoxUnit
     rows = np.stack([state, ahead, oracle_apply_raw(q, ahead, adjoint=True), kicked])
     del state, kicked, ahead  # only the stack stays alive through the sweep
     windows = []
-    for spec, m in zip(reversed(circuit.blocks), reversed(mats)):
-        targets, undo = spec.window.targets, m.conj().T
-        rows = apply_matrix_raw(rows, n, undo, targets)
-        u, v = rows.reshape(2, 2, 2 ** targets[0], 2 ** len(targets), -1)  # contiguous window
+    for spec, undo in zip(circuit.blocks[::-1], mats.conj().swapaxes(1, 2)[::-1]):
+        rows = apply_matrix_raw(rows, n, undo, spec.window.targets)
+        u, v = rows.reshape(2, 2, 2 ** spec.window.targets[0], len(undo), -1)  # contiguous window
         windows.append(np.einsum("aprq,apsq->rs", u, v.conj()) @ undo)
     gradient = block_parameter_gradient(circuit, theta, windows[::-1])
-    return log_likelihood(p), gradient, float(abs(psi[0]) ** 2)
+    return log_likelihood(p), gradient, _overlap(psi)
 
 
 def loss_gradient_fd(
@@ -288,8 +292,7 @@ def run_sweep(
     probability estimates (the method is forced to SPSA), while the reported
     loss and certificate stay exact.  Fully deterministic given config.seed.
     """
-    if not 0 <= k_max <= n // 2:
-        raise ValidationError(f"k_max={k_max} outside valid range [0, {n // 2}] for n={n}")
+    build_mps_ansatz(n, k_max)  # the widest budget's range and capacity, before any budget runs
     if q.n != n:
         raise ShapeError(f"oracle on {q.n} qubits does not match n={n}")
     method = "spsa" if shots else config.method or "lbfgs"

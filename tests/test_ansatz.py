@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,7 @@ from eigenmps.ansatz import (
     _pauli_sum,
     _pauli_traces,
     block_matrices,
+    block_parameter_gradient,
     block_unitary,
     build_mps_ansatz,
     cnot_lower_bound,
@@ -152,13 +155,46 @@ def test_block_wrappers_equal_block_matrices():
     for n, k in [(4, 0), (4, 1), (6, 2), (9, 4)]:  # batched over the blocks when k >= 1
         c = build_mps_ansatz(n, k)
         theta = rng.uniform(0, 2 * np.pi, c.total_params)
-        for spec, m in zip(c.blocks, block_matrices(c, theta)):
+        mats = block_matrices(c, theta)
+        assert isinstance(mats, np.ndarray) and mats.shape == (len(c.blocks), *(2**(k + 1),) * 2)
+        for spec, m in zip(c.blocks, mats):
             chunk = theta[spec.param_offset : spec.param_offset + spec.param_len]
             if k == 0:
                 u = product_qubit_unitary(chunk[0], chunk[1])
             else:
                 u = block_unitary(chunk, spec.window.width)
             assert np.array_equal(u.entries, m)
+
+
+def scalar_product_block(t1, t2):
+    """One product-qubit block from scalar math.cos/math.sin: the per-block reference."""
+    c, s = math.cos(t1), math.sin(t1)
+    phase = complex(math.cos(t2), -math.sin(t2))
+    return np.array([[c, -s], [phase * s, phase * c]], dtype=np.complex128)
+
+
+def per_block_product_gradient(circuit, theta, windows):
+    """The k = 0 chain rule block by block: the reference for the batched one."""
+    grad = np.empty_like(theta)
+    for spec, x in zip(circuit.blocks, windows):
+        chunk = theta[spec.param_offset : spec.param_offset + spec.param_len]
+        turned = scalar_product_block(chunk[0] + 0.5 * np.pi, chunk[1])
+        g = np.array([np.trace(turned @ x), -1j * scalar_product_block(*chunk)[1] @ x[:, 1]])
+        grad[spec.param_offset : spec.param_offset + spec.param_len] = 2.0 * g.real
+    return grad
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_batched_product_blocks_and_chain_rule_equal_the_per_block_loop(n):
+    rng = np.random.default_rng((17, n))
+    c = build_mps_ansatz(n, 0)
+    for _ in range(20):
+        theta = rng.uniform(-2 * np.pi, 2 * np.pi, c.total_params)
+        windows = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        blocks = [scalar_product_block(theta[2 * i], theta[2 * i + 1]) for i in range(n)]
+        assert np.array_equal(block_matrices(c, theta), np.stack(blocks))
+        expected = per_block_product_gradient(c, theta, windows)
+        assert np.array_equal(block_parameter_gradient(c, theta, windows), expected)
 
 
 def test_prepare_state_zero_params():

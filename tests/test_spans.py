@@ -7,7 +7,10 @@ these names; a refactor that drops one would leave its probe silently empty.
 import os
 import sys
 
-from eigenmps import cli
+import numpy as np
+
+from eigenmps import cli, vqa
+from eigenmps.oracle import BlackBoxUnitary
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
@@ -36,3 +39,15 @@ def test_probes_see_the_build_the_sweep_and_every_shot_evaluation(tmp_path):
     assert names.count("oracle.build") == 1 and names.count("vqa.run_sweep") == 1
     assert len(record["per_k"]) == 2  # neither budget certifies
     assert names.count("simulator.sample_probs") == 2 * (2 * 5 + 2)
+
+
+def test_every_objective_evaluation_builds_its_blocks_through_the_traced_name():
+    # the --trace 1 block layer: one ansatz.block_matrices span per lbfgs objective call
+    phases = np.exp(1j * np.random.default_rng(5).uniform(0, 2 * np.pi, 2**5))
+    q = BlackBoxUnitary(5, "diagonal-phase", phases=phases)
+    tracer = Tracer()
+    with tracer:
+        vqa.run_sweep(5, 0, q, vqa.OptimizerConfig(method="lbfgs", max_iters=20, seed=1))
+    names = tracer.spans.names
+    assert names.count("vqa.objective") > 1
+    assert names.count("ansatz.block_matrices") == names.count("vqa.objective")

@@ -10,7 +10,7 @@ from conftest import moveaxis_apply, planted_recovery_instance, random_3sat, ran
 from eigenmps import vqa
 from eigenmps.ansatz import block_matrices, block_parameter_gradient, build_mps_ansatz
 from eigenmps.ansatz import prepare_state
-from eigenmps.errors import NumericalError, ValidationError
+from eigenmps.errors import CapacityError, NumericalError, ValidationError
 from eigenmps.oracle import BlackBoxUnitary, default_sat_time, from_sat_instance
 from eigenmps.oracle import apply as oracle_apply, apply_raw, from_dense_matrix, planted_unitary
 from eigenmps.oracle import to_matrix
@@ -297,6 +297,20 @@ def test_run_sweep_validation():
     q = from_dense_matrix(np.eye(4))
     with pytest.raises(ValidationError):
         run_sweep(2, 5, q, OptimizerConfig())
+
+
+def test_run_sweep_checks_the_widest_budget_before_the_first(monkeypatch):
+    # k_max=8 needs width-9 blocks; found in the sweep, it would come after budgets 0..7
+    monkeypatch.setattr(vqa, "minimize", lambda *args, **kwargs: pytest.fail("a budget ran"))
+    q = BlackBoxUnitary(18, "diagonal-phase", phases=np.ones(2**18, dtype=complex))
+    with pytest.raises(CapacityError, match="k=8"):
+        run_sweep(18, 8, q, OptimizerConfig())
+
+
+def test_certificate_is_capped_at_one_and_passes_nan_through():
+    assert abs(1.0 + 2**-52) ** 2 > 1.0
+    assert vqa._overlap(np.array([1.0 + 2**-52 + 0j])) == 1.0
+    assert math.isnan(vqa._overlap(np.array([complex("nan")])))
 
 
 def _sweep_fingerprint(result):
