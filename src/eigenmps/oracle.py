@@ -3,8 +3,9 @@
 An oracle is one of two kinds: "dense", a 2^n x 2^n matrix applied as a
 matrix-vector product, or "diagonal-phase", a 2^n phase vector applied
 elementwise without ever building a matrix.  Dense oracles come from matrix
-files, Hamiltonian evolution and planted constructions; SAT instances give
-diagonal-phase oracles.  A planted oracle makes a known ansatz state an
+files, Hamiltonian evolution (split into two half-size flip sectors when h
+commutes with flipping every qubit) and planted constructions; SAT instances
+give diagonal-phase oracles.  A planted oracle makes a known ansatz state an
 exact eigenvector by conjugating a diagonal with a fixed unitary completion
 of that state (a Householder reflection mixed with a seeded unitary on the
 orthogonal complement); it is a dense oracle that also keeps that state.
@@ -113,24 +114,38 @@ def from_dense_matrix(m: np.ndarray) -> BlackBoxUnitary:
     return BlackBoxUnitary(n, "dense", matrix=m)
 
 
+def _evolve(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) of one Hermitian h by exact eigendecomposition, in h's dtype."""
+    lam, vec = np.linalg.eigh(h)
+    with np.errstate(over="ignore"):  # an overflowing lam t is an error here, not a warning
+        if not np.isfinite(lam * t).all():  # U is unitary by construction unless lam t overflows
+            raise ValidationError(f"Hamiltonian evolution phases lam t are not finite at t={t!r}")
+    return (vec * np.exp(-1j * lam * t)) @ vec.conj().T
+
+
 def from_hamiltonian_evolution(h: np.ndarray, t: float) -> BlackBoxUnitary:
     """exp(-i h t) by exact eigendecomposition; eigenvectors coincide with h's.
 
     eigh runs in h's own dtype, real symmetric for the tfi preset; U is complex.
+    A flip-symmetric h (h == h[::-1, ::-1]; every tfi preset) is evolved as two half-size sectors.
     """
     n = _dense_qubits(np.shape(h), "Hamiltonian")
     h = np.asarray(h, dtype=np.complex128 if np.iscomplexobj(h) else np.float64)
     defect = float(np.linalg.norm(h - h.conj().T))
     if not defect <= ORACLE_UNITARY_TOL:
         raise ValidationError(
-            f"Hamiltonian is not Hermitian: Frobenius defect {defect:.3e} > "
-            f"{ORACLE_UNITARY_TOL:g}"
+            f"Hamiltonian is not Hermitian: Frobenius defect {defect:.3e} > {ORACLE_UNITARY_TOL:g}"
         )
-    lam, vec = np.linalg.eigh(h)
-    with np.errstate(over="ignore"):  # an overflowing lam t is an error here, not a warning
-        if not np.isfinite(lam * t).all():  # U is unitary by construction unless lam t overflows
-            raise ValidationError(f"Hamiltonian evolution phases lam t are not finite at t={t!r}")
-    u = (vec * np.exp(-1j * lam * t)) @ vec.conj().T
+    if not np.array_equal(h, h[::-1, ::-1]):
+        return BlackBoxUnitary(n, "dense", matrix=_evolve(h, t))
+    # flipping maps x < half to 2^n - 1 - x, so h = [[A, B], [J B J, J A J]], J reversing
+    half = 2 ** (n - 1)
+    a, bj = h[:half, :half], h[:half, half:][:, ::-1]  # (v, +-J v) see the sectors A +- BJ
+    plus, minus = _evolve(a + bj, t) / 2, _evolve(a - bj, t) / 2
+    u = np.empty((2 * half, 2 * half), dtype=np.complex128)  # [[S, D J], [J D, J S J]]
+    np.add(plus, minus, out=u[:half, :half])  # S = (U+ + U-) / 2
+    np.subtract(plus, minus, out=u[:half, half:][:, ::-1])  # D J, D = (U+ - U-) / 2
+    u[half:] = u[:half][::-1, ::-1]  # J [D, S J]: the top half reversed on both axes
     return BlackBoxUnitary(n, "dense", matrix=u)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,7 +72,14 @@ def test_dense_rejects_nan_entries():
         from_dense_matrix(NAN_2X2)
 
 
-@pytest.mark.parametrize("h, t", [(NAN_2X2, 1.0), (np.diag([1.0, -1.0]), np.nan)])
+@pytest.mark.parametrize(
+    "h, t",
+    [
+        (NAN_2X2, 1.0),
+        (np.diag([1.0, -1.0]), np.nan),
+        (tfi_hamiltonian(3, 1.0, 1.0), np.nan),  # flip-symmetric: the half-size sectors see t
+    ],
+)
 def test_hamiltonian_evolution_rejects_nan(h, t):
     with pytest.raises(ValidationError):
         from_hamiltonian_evolution(h, t)
@@ -183,19 +192,106 @@ def test_real_hamiltonian_evolution_matches_the_complex_reference(h, t):
     assert np.max(np.abs(real - reference)) < 1e-12
 
 
-def test_hamiltonian_evolution_runs_eigh_in_the_dtype_of_h(monkeypatch):
+def _eigh_spy(monkeypatch):
     seen, eigh = [], np.linalg.eigh
 
     def spy(h):
-        seen.append(h.dtype)
+        seen.append(h)
         return eigh(h)
 
     monkeypatch.setattr(np.linalg, "eigh", spy)
+    return seen
+
+
+def test_hamiltonian_evolution_runs_eigh_in_the_dtype_of_h(monkeypatch):
+    seen = _eigh_spy(monkeypatch)
     h = tfi_hamiltonian(3, 1.0, 1.0)  # integer entries, so astype(int) is exact
     from_hamiltonian_evolution(h, 0.5)
     from_hamiltonian_evolution(h.astype(int), 0.5)
     from_hamiltonian_evolution(h.astype(complex), 0.5)
-    assert seen == [np.float64, np.float64, np.complex128]
+    # the tfi chain is flip-symmetric, so each call runs one eigh per half-size sector
+    assert [m.dtype for m in seen] == [np.float64] * 4 + [np.complex128] * 2
+    assert all(m.shape == (4, 4) for m in seen)
+
+
+def _reference_evolution(h: np.ndarray, t: float) -> np.ndarray:
+    # independent of the sector split: one full-size eigendecomposition of h
+    lam, vec = np.linalg.eigh(h)
+    return (vec * np.exp(-1j * lam * t)) @ vec.conj().T
+
+
+def _flip_symmetric_hamiltonians():
+    for n in range(1, 9):
+        for coupling, field, t in [
+            (1.0, 1.0, 1.0),
+            (0.3, 0.7, 0.45),
+            (-0.4, 1.3, 2.9),
+            (1.0, 0.0, 1.7),  # diagonal, with every level at least doubly degenerate
+            (-1.0, 0.0, 0.6),
+        ]:
+            h = tfi_hamiltonian(n, coupling, field)
+            yield pytest.param(h, t, id=f"tfi-{n}-{coupling}-{field}-{t}")
+    rng = np.random.default_rng(43)
+    for n in (1, 3, 5):
+        m = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        m = m + m.conj().T
+        yield pytest.param(m + m[::-1, ::-1], 0.8, id=f"complex-flip-symmetric-{n}")
+
+
+@pytest.mark.parametrize("h, t", _flip_symmetric_hamiltonians())
+def test_flip_symmetric_evolution_matches_a_full_size_reference(h, t, monkeypatch):
+    assert np.array_equal(h, h[::-1, ::-1])
+    reference = _reference_evolution(h, t)
+    seen = _eigh_spy(monkeypatch)
+    u = from_hamiltonian_evolution(h, t).matrix
+    assert [m.shape for m in seen] == [(len(h) // 2, len(h) // 2)] * 2
+    assert u.dtype == np.complex128
+    assert np.max(np.abs(u - reference)) < 1e-12
+
+
+def _longitudinal_field(n: int) -> np.ndarray:
+    # sum Z_i: flipping every qubit negates it, so a chain plus this term has no flip symmetry
+    index = np.arange(2**n)
+    return np.diag(n - 2.0 * np.array([bin(x).count("1") for x in index]))
+
+
+def _flip_asymmetric_hamiltonians():
+    for n in (2, 4, 6):
+        h = tfi_hamiltonian(n, 1.0, 0.7) + 0.3 * _longitudinal_field(n)
+        yield pytest.param(h, 0.9, id=f"tfi-longitudinal-{n}")
+    a = np.random.default_rng(47).normal(size=(32, 32))
+    yield pytest.param(a + a.T, 0.8, id="random-symmetric")
+
+
+@pytest.mark.parametrize("h, t", _flip_asymmetric_hamiltonians())
+def test_flip_asymmetric_evolution_runs_one_full_size_eigh(h, t, monkeypatch):
+    assert not np.array_equal(h, h[::-1, ::-1])
+    reference = _reference_evolution(h, t)
+    seen = _eigh_spy(monkeypatch)
+    u = from_hamiltonian_evolution(h, t).matrix
+    assert [m.shape for m in seen] == [h.shape]
+    assert np.max(np.abs(u - reference)) < 1e-12
+
+
+@pytest.mark.filterwarnings("error")  # the overflow is an error to report, not a warning
+def test_flip_sector_evolution_rejects_overflowing_phases():
+    h = np.diag([1e300, 1e300])  # flip-symmetric, so the sectors see the overflow
+    with pytest.raises(ValidationError, match="not finite"):
+        from_hamiltonian_evolution(h, 1e10)
+
+
+def test_flip_sector_evolution_memory_stays_near_the_size_of_u():
+    # U at n=10 is 2^20 complex entries, 16 MB; h itself is 8 MB.  A full-size eigh with
+    # a promoted complex product peaked at about 64 MB; the sectors and the in-place
+    # assembly stay at about 32 MB (h, U and the two half-size sectors).  The bound,
+    # 2.5 U, fails if a full-size temporary such as np.block or a promoted copy returns.
+    tracemalloc.start()
+    try:
+        from_hamiltonian_evolution(tfi_hamiltonian(10, 1.0, 1.0), 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20 * 16
 
 
 def test_spectral_consistency_all_eigenpairs():
