@@ -26,6 +26,7 @@ from .simulator import (
     QubitWindow,
     Statevector,
     apply_matrix_raw,
+    hermitian_exp,
     zero_state,
 )
 
@@ -109,13 +110,8 @@ def build_mps_ansatz(n: int, k: int) -> AnsatzCircuit:
 
 
 def _pauli_exponential(coeffs: np.ndarray, width: int) -> np.ndarray:
-    """exp(-i H_b) for every block's H_b = sum_a coeffs[b, a] G_a over the width-w strings.
-
-    Each generator is Hermitian, so the exponential is computed exactly by
-    eigendecomposition and the result is unitary by construction.
-    """
-    lam, vec = np.linalg.eigh(_pauli_sum(coeffs, width))
-    return (vec * np.exp(-1j * lam)[:, None, :]) @ vec.conj().swapaxes(1, 2)
+    """exp(-i H_b) for every block's H_b = sum_a coeffs[b, a] G_a over the width-w strings."""
+    return hermitian_exp(_pauli_sum(coeffs, width), 1.0)
 
 
 def _product_blocks(angles: np.ndarray) -> np.ndarray:

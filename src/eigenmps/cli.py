@@ -204,6 +204,10 @@ def read_input(path: str, parse: Callable[[str], object] = json.loads, encoding:
             raise ValidationError(f"{path}: not {encoding} text at byte {exc.start}") from exc
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except ValueError as exc:  # json.loads past the int digit limit: no JSONDecodeError
+            if "integer string conversion" not in str(exc):
+                raise
+            raise ValidationError(f"{path}: invalid JSON: an integer literal is too long") from exc
         except ValidationError as exc:  # a format error inside the file; keeps its class
             exc.args = (f"{path}: {exc}",)
             raise

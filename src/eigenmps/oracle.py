@@ -23,7 +23,7 @@ import numpy as np
 
 from .ansatz import AnsatzCircuit, prepare_state
 from .errors import CapacityError, DimacsError, ShapeError, ValidationError
-from .simulator import Statevector
+from .simulator import Statevector, hermitian_exp
 
 ORACLE_UNITARY_TOL = 1e-8
 
@@ -114,15 +114,6 @@ def from_dense_matrix(m: np.ndarray) -> BlackBoxUnitary:
     return BlackBoxUnitary(n, "dense", matrix=m)
 
 
-def _evolve(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i h t) of one Hermitian h by exact eigendecomposition, in h's dtype."""
-    lam, vec = np.linalg.eigh(h)
-    with np.errstate(over="ignore"):  # an overflowing lam t is an error here, not a warning
-        if not np.isfinite(lam * t).all():  # U is unitary by construction unless lam t overflows
-            raise ValidationError(f"Hamiltonian evolution phases lam t are not finite at t={t!r}")
-    return (vec * np.exp(-1j * lam * t)) @ vec.conj().T
-
-
 def from_hamiltonian_evolution(h: np.ndarray, t: float) -> BlackBoxUnitary:
     """exp(-i h t) by exact eigendecomposition; eigenvectors coincide with h's.
 
@@ -137,11 +128,11 @@ def from_hamiltonian_evolution(h: np.ndarray, t: float) -> BlackBoxUnitary:
             f"Hamiltonian is not Hermitian: Frobenius defect {defect:.3e} > {ORACLE_UNITARY_TOL:g}"
         )
     if not np.array_equal(h, h[::-1, ::-1]):
-        return BlackBoxUnitary(n, "dense", matrix=_evolve(h, t))
+        return BlackBoxUnitary(n, "dense", matrix=hermitian_exp(h, t))
     # flipping maps x < half to 2^n - 1 - x, so h = [[A, B], [J B J, J A J]], J reversing
     half = 2 ** (n - 1)
     a, bj = h[:half, :half], h[:half, half:][:, ::-1]  # (v, +-J v) see the sectors A +- BJ
-    plus, minus = _evolve(a + bj, t) / 2, _evolve(a - bj, t) / 2
+    plus, minus = hermitian_exp(a + bj, t) / 2, hermitian_exp(a - bj, t) / 2
     u = np.empty((2 * half, 2 * half), dtype=np.complex128)  # [[S, D J], [J D, J S J]]
     np.add(plus, minus, out=u[:half, :half])  # S = (U+ + U-) / 2
     np.subtract(plus, minus, out=u[:half, half:][:, ::-1])  # D J, D = (U+ - U-) / 2
@@ -331,6 +322,8 @@ def read_dense_matrix_json(obj: dict) -> np.ndarray:
         raise ValidationError(f"malformed dense matrix object: {exc}") from exc
     if type(n) is not int:  # a JSON integer: not a bool, a fraction or a numeric string
         raise ValidationError(f"dense matrix n must be an integer, got {n!r}")
+    if not 1 <= n <= MAX_DENSE_QUBITS:  # before 2^n, which at n = 20000 is too long to print
+        raise CapacityError(f"dense matrix n={n} outside [1, {MAX_DENSE_QUBITS}], the dense cap")
     dim = 2**n
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValidationError(

@@ -101,6 +101,18 @@ def zero_state(n: int) -> Statevector:
     return Statevector(n, amps)
 
 
+def hermitian_exp(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) of one Hermitian h, or of each in a stack, by eigh in h's own dtype.
+
+    The result is unitary by construction unless the phases lam t overflow.
+    """
+    lam, vec = np.linalg.eigh(h)
+    with np.errstate(over="ignore"):  # an overflowing lam t is an error here, not a warning
+        if not np.isfinite(lam * t).all():
+            raise ValidationError(f"evolution phases lam t are not finite at t={t!r}")
+    return (vec * np.exp(-1j * lam * t)[..., None, :]) @ vec.conj().swapaxes(-1, -2)
+
+
 def apply_matrix_raw(amps: np.ndarray, n: int, matrix: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     """Unvalidated kernel behind apply_block; amps may stack vectors on leading axes.
 

@@ -190,7 +190,7 @@ def mps_from_json(obj: dict) -> MpsState:
         if not (isinstance(shape, list) and len(shape) == 3
                 and all(type(d) is int and d > 0 for d in shape)):  # type(): bools are not sizes
             raise ValidationError(f"tensor at site {i}: shape {shape!r} is not 3 positive integers")
-        if re.size != np.prod(shape) or im.size != np.prod(shape):
+        if re.size != math.prod(shape) or im.size != math.prod(shape):  # exact: np.prod wraps
             raise ValidationError(
                 f"tensor at site {i}: {re.size} values do not fill shape {shape}"
             )

@@ -490,9 +490,11 @@ def test_analyze_one_qubit_zero_mps_exits_2(tmp_path, capsys):
         lambda obj: obj["tensors"][-1].update(shape=[True, 2, 1]),
         lambda obj: obj.update(n=3),
         lambda obj: obj["tensors"][-1].update(shape=[1, 2, 3]),
+        # 2^32 * 2 * 2^31 wraps to 0 in int64, so an empty tensor once "filled" it
+        lambda obj: obj["tensors"][-1].update(shape=[2**32, 2, 2**31], re=[], im=[]),
     ],
     ids=["tensors-int", "n-str", "n-numeric-str", "n-float", "shape-str", "shape-negative",
-         "shape-float", "shape-bool", "count-mismatch", "shape-unfilled"],
+         "shape-float", "shape-bool", "count-mismatch", "shape-unfilled", "shape-overflow"],
 )
 def test_analyze_malformed_mps_exits_2(tmp_path, capsys, mutate):
     obj = mps_to_json(statevector_to_mps(zero_state(2)))
@@ -535,8 +537,13 @@ def test_analyze_takes_only_a_normalized_mps(tmp_path, capsys, scale, code):
         ("dimacs", b"p cnf 3 1\n1 -2 \xff 0\n"),
         ("dense", '{"n": 1, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, é]]}'.encode("utf-8")),
         ("dense", b'{"n": 1, "re": [[1, 0], [0'),
+        # json.loads raises a plain ValueError, not a JSONDecodeError, past 4300 digits
+        ("config", b'{"n": ' + b"1" * 5000 + b', "k_max": 1}'),
+        ("analyze", b'{"n": ' + b"1" * 5000 + b', "tensors": []}'),
+        ("dense", b'{"n": ' + b"1" * 5000 + b', "re": [], "im": []}'),
     ],
-    ids=["config-not-utf8", "analyze-not-utf8", "dimacs-0xff", "dense-e-acute", "dense-truncated"],
+    ids=["config-not-utf8", "analyze-not-utf8", "dimacs-0xff", "dense-e-acute", "dense-truncated",
+         "config-long-int", "analyze-long-int", "dense-long-int"],
 )
 def test_undecodable_or_unparsable_input_file_exits_2(tmp_path, capsys, kind, data):
     bad = tmp_path / f"bad-{kind}"
@@ -549,7 +556,7 @@ def test_undecodable_or_unparsable_input_file_exits_2(tmp_path, capsys, kind, da
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert str(bad) in err
+    assert err.count(str(bad)) == 1
 
 
 @pytest.mark.parametrize(
@@ -560,8 +567,9 @@ def test_undecodable_or_unparsable_input_file_exits_2(tmp_path, capsys, kind, da
         ("dense", '{"n": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}', "4x4"),
         ("dense", '{"n": "1", "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}', "integer"),
         ("dense", '{"n": 1, "re": [[1, 0], [0, "x"]], "im": [[0, 0], [0, 0]]}', "malformed"),
+        ("dense", '{"n": 20000, "re": [], "im": []}', "cap"),
     ],
-    ids=["dimacs-token", "dimacs-count", "dense-shape", "dense-n-str", "dense-entry"],
+    ids=["dimacs-token", "dimacs-count", "dense-shape", "dense-n-str", "dense-entry", "dense-n-cap"],
 )
 def test_format_error_inside_input_file_names_it(tmp_path, capsys, kind, text, fragment):
     bad = tmp_path / f"bad-{kind}"

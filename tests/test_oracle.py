@@ -456,6 +456,9 @@ def test_read_dense_matrix_json():
         read_dense_matrix_json({"n": 1, "re": [[1]], "im": [[0]]})
     with pytest.raises(ValidationError):
         read_dense_matrix_json({"n": 1})
+    for n in (13, 0):  # bounded before 2^n, whose size message failed to print at n = 20000
+        with pytest.raises(CapacityError, match="cap"):
+            read_dense_matrix_json({"n": n, "re": [], "im": []})
 
 
 def test_diagonal_oracle_applied_without_matrix():

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ghz, moveaxis_apply, random_state, random_unitary
+from eigenmps.ansatz import _pauli_sum
 from eigenmps.errors import CapacityError, ShapeError, ValidationError
+from eigenmps.oracle import tfi_hamiltonian
 from eigenmps.simulator import (
     DenseUnitary,
     QubitWindow,
     Statevector,
     apply_block,
     apply_matrix_raw,
+    hermitian_exp,
     inner_product,
     projector_prob,
     qubit_zero_probs,
@@ -244,3 +247,27 @@ def test_sample_probs_equals_the_per_qubit_loop_bit_for_bit():
             seed = int(rng.integers(2**31))
             assert sample_probs(state, shots, seed).tolist() == loop_sample_probs(
                 state, shots, seed).tolist(), (shots, n)
+
+
+def test_hermitian_exp_equals_the_two_kernels_it_replaces_bit_for_bit():
+    # the Hamiltonian oracle's former evolution, on one real-symmetric and one complex h
+    rng = np.random.default_rng(72)
+    m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    for h in (tfi_hamiltonian(6, 1.0, 0.7), m + m.conj().T):
+        lam, vec = np.linalg.eigh(h)
+        expected = (vec * np.exp(-1j * lam * 0.9)) @ vec.conj().T
+        assert hermitian_exp(h, 0.9).tobytes() == expected.tobytes()
+    # the Pauli blocks' former exponential, where t = 1.0 must not flip a sign of zero
+    for width in (1, 2, 3):
+        for coeffs in (rng.normal(size=(4, 4**width - 1)), np.zeros((2, 4**width - 1))):
+            lam, vec = np.linalg.eigh(_pauli_sum(coeffs, width))
+            expected = (vec * np.exp(-1j * lam)[:, None, :]) @ vec.conj().swapaxes(1, 2)
+            assert hermitian_exp(_pauli_sum(coeffs, width), 1.0).tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("h", [np.diag([1e300, 0.0]), np.stack([np.eye(2), np.diag([0.0, 1e300])])],
+                         ids=["one", "stack"])
+def test_hermitian_exp_rejects_overflowing_phases(h):
+    with pytest.raises(ValidationError, match="not finite"):
+        hermitian_exp(h, 1e10)
