@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .ansatz import build_mps_ansatz, cnot_lower_bound, cost_estimate, ebit_bound, prepare_state
-from .errors import CapacityError, NumericalError, ValidationError
+from .errors import CapacityError, NumericalError, ValidationError, past_digit_limit
 from .oracle import (
     MAX_DENSE_QUBITS,
     BlackBoxUnitary,
@@ -205,7 +205,7 @@ def read_input(path: str, parse: Callable[[str], object] = json.loads, encoding:
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
         except ValueError as exc:  # json.loads past the int digit limit: no JSONDecodeError
-            if "integer string conversion" not in str(exc):
+            if not past_digit_limit(exc):
                 raise
             raise ValidationError(f"{path}: invalid JSON: an integer literal is too long") from exc
         except ValidationError as exc:  # a format error inside the file; keeps its class
@@ -434,3 +434,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":  # python -m eigenmps.cli
+    entrypoint()

@@ -31,3 +31,8 @@ class DimacsError(ValidationError):
 
 class NumericalError(EigenmpsError):
     """Numerical failure at run time, e.g. a non-finite objective value."""
+
+
+def past_digit_limit(exc: ValueError) -> bool:
+    """Whether int() or json.loads refused an integer for Python's digit limit, not its form."""
+    return "integer string conversion" in str(exc)

@@ -1,14 +1,16 @@
 """Black-box unitary construction and application.
 
-An oracle is one of two kinds: "dense", a 2^n x 2^n matrix applied as a
+An oracle is one of two kinds: "dense", a 2^n x 2^n operator applied as a
 matrix-vector product, or "diagonal-phase", a 2^n phase vector applied
 elementwise without ever building a matrix.  Dense oracles come from matrix
-files, Hamiltonian evolution (split into two half-size flip sectors when h
-commutes with flipping every qubit) and planted constructions; SAT instances
-give diagonal-phase oracles.  A planted oracle makes a known ansatz state an
-exact eigenvector by conjugating a diagonal with a fixed unitary completion
-of that state (a Householder reflection mixed with a seeded unitary on the
-orthogonal complement); it is a dense oracle that also keeps that state.
+files, Hamiltonian evolution and planted constructions; SAT instances give
+diagonal-phase oracles.  When h commutes with flipping every qubit, the
+evolution keeps its two half-size flip sectors (FlipSectors) and applies as
+two half-size products; only to_matrix assembles the full U.  A planted
+oracle makes a known ansatz state an exact eigenvector by conjugating a
+diagonal with a fixed unitary completion of that state (a Householder
+reflection mixed with a seeded unitary on the orthogonal complement); it is
+a dense oracle that also keeps that state.
 
 SAT assignment encoding: qubit i in |0> means variable i+1 is FALSE and |1>
 means TRUE, so the all-zero register is the all-false assignment.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import AnsatzCircuit, prepare_state
-from .errors import CapacityError, DimacsError, ShapeError, ValidationError
+from .errors import CapacityError, DimacsError, ShapeError, ValidationError, past_digit_limit
 from .simulator import Statevector, hermitian_exp
 
 ORACLE_UNITARY_TOL = 1e-8
@@ -53,19 +55,61 @@ class SatInstance:
                     )
 
 
+class FlipSectors:
+    """U = [[S, D J], [J D, J S J]] held as halves = (U+ / 2, U- / 2), S, D = U+/2 +- U-/2.
+
+    U+ and U- evolve the flip-even and flip-odd sectors; J reverses 2^(n-1)
+    indices.  U @ amps and amps @ U each run one half-size product per sector,
+    half the flops and memory of U; np.array(sectors) assembles U.
+    """
+
+    __array_ufunc__ = None  # ndarray @ FlipSectors defers to __rmatmul__
+
+    def __init__(self, halves: np.ndarray):
+        self.halves = halves
+        self.shape = (2 * halves.shape[1],) * 2
+        self.dtype = halves.dtype
+
+    def __matmul__(self, amps: np.ndarray) -> np.ndarray:
+        # top S a + D J c, bottom J (D a + S J c), with a, c the halves of amps
+        half = len(self.halves[0])
+        a, b = amps[:half], amps[half:][::-1]
+        x, y = self.halves[0] @ (a + b), self.halves[1] @ (a - b)
+        return np.concatenate([x + y, (x - y)[::-1]])
+
+    def __rmatmul__(self, amps: np.ndarray) -> np.ndarray:
+        # the same pairing along amps's last axis, with each sector on the right
+        half = len(self.halves[0])
+        a, b = amps[..., :half], amps[..., half:][..., ::-1]
+        x, y = (a + b) @ self.halves[0], (a - b) @ self.halves[1]
+        return np.concatenate([x + y, (x - y)[..., ::-1]], axis=-1)
+
+    def __array__(self, dtype=None, copy=None):  # always a new array: U is assembled here
+        plus, minus = self.halves
+        half = len(plus)
+        u = np.empty(self.shape, dtype=self.dtype)
+        np.add(plus, minus, out=u[:half, :half])  # S
+        np.subtract(plus, minus, out=u[:half, half:][:, ::-1])  # D J
+        u[half:] = u[:half][::-1, ::-1]  # J [D, S J]: the top half reversed on both axes
+        return u if dtype is None else u.astype(dtype, copy=False)
+
+
 @dataclass(frozen=True)
 class BlackBoxUnitary:
     """Opaque apply-to-state oracle on n qubits.
 
     kind is the one discriminator: a "dense" oracle holds exactly its
-    2^n x 2^n matrix, a "diagonal-phase" oracle exactly its 2^n unit-modulus
-    phase vector.  A planted oracle is dense and also keeps the planted
+    2^n x 2^n operator, a "diagonal-phase" oracle exactly its 2^n
+    unit-modulus phase vector.  The dense operator is an ndarray, or the
+    FlipSectors of a flip-symmetric Hamiltonian evolution, which answers @
+    from either side with two half-size products and is assembled into U
+    only by to_matrix.  A planted oracle is dense and also keeps the planted
     eigenvector itself in planted_state, for ground-truth checks.
     """
 
     n: int
     kind: str
-    matrix: np.ndarray | None = None
+    matrix: np.ndarray | FlipSectors | None = None
     phases: np.ndarray | None = None
     planted_state: np.ndarray | None = None
 
@@ -118,7 +162,9 @@ def from_hamiltonian_evolution(h: np.ndarray, t: float) -> BlackBoxUnitary:
     """exp(-i h t) by exact eigendecomposition; eigenvectors coincide with h's.
 
     eigh runs in h's own dtype, real symmetric for the tfi preset; U is complex.
-    A flip-symmetric h (h == h[::-1, ::-1]; every tfi preset) is evolved as two half-size sectors.
+    A flip-symmetric h (h == h[::-1, ::-1]; every tfi preset) is evolved as two
+    half-size sectors, which the oracle keeps as FlipSectors and applies as two
+    half-size products; U itself is never assembled here.
     """
     n = _dense_qubits(np.shape(h), "Hamiltonian")
     h = np.asarray(h, dtype=np.complex128 if np.iscomplexobj(h) else np.float64)
@@ -132,12 +178,9 @@ def from_hamiltonian_evolution(h: np.ndarray, t: float) -> BlackBoxUnitary:
     # flipping maps x < half to 2^n - 1 - x, so h = [[A, B], [J B J, J A J]], J reversing
     half = 2 ** (n - 1)
     a, bj = h[:half, :half], h[:half, half:][:, ::-1]  # (v, +-J v) see the sectors A +- BJ
-    plus, minus = hermitian_exp(a + bj, t) / 2, hermitian_exp(a - bj, t) / 2
-    u = np.empty((2 * half, 2 * half), dtype=np.complex128)  # [[S, D J], [J D, J S J]]
-    np.add(plus, minus, out=u[:half, :half])  # S = (U+ + U-) / 2
-    np.subtract(plus, minus, out=u[:half, half:][:, ::-1])  # D J, D = (U+ - U-) / 2
-    u[half:] = u[:half][::-1, ::-1]  # J [D, S J]: the top half reversed on both axes
-    return BlackBoxUnitary(n, "dense", matrix=u)
+    halves = np.stack([hermitian_exp(a + bj, t), hermitian_exp(a - bj, t)])
+    halves /= 2
+    return BlackBoxUnitary(n, "dense", matrix=FlipSectors(halves))
 
 
 def tfi_hamiltonian(n: int, coupling: float, transverse: float) -> np.ndarray:
@@ -255,8 +298,13 @@ def to_matrix(q: BlackBoxUnitary) -> np.ndarray:
     if q.n > MAX_DENSE_QUBITS:
         raise CapacityError(f"refusing to materialize a {q.n}-qubit oracle")
     if q.kind == "dense":
-        return q.matrix.copy()
+        return np.array(q.matrix)
     return np.diag(q.phases)
+
+
+def _excerpt(text: str, limit: int = 32) -> str:
+    """repr of text, cut to its first limit characters so one token cannot flood a message."""
+    return repr(text) if len(text) <= limit else f"{text[:limit]!r}... ({len(text)} characters)"
 
 
 def parse_dimacs(text: str) -> SatInstance:
@@ -275,11 +323,13 @@ def parse_dimacs(text: str) -> SatInstance:
                 raise DimacsError("duplicate 'p cnf' header", lineno)
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
-                raise DimacsError(f"malformed header {line!r}", lineno)
+                raise DimacsError(f"malformed header {_excerpt(line)}", lineno)
             try:
                 num_vars, declared_clauses = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise DimacsError(f"non-integer counts in header {line!r}", lineno) from None
+            except ValueError as exc:
+                too_long = past_digit_limit(exc)
+                what = "a count too long for an integer" if too_long else "non-integer counts"
+                raise DimacsError(f"{what} in header {_excerpt(line)}", lineno) from None
             if num_vars < 0 or declared_clauses < 0:
                 raise DimacsError("negative counts in header", lineno)
             continue
@@ -288,8 +338,10 @@ def parse_dimacs(text: str) -> SatInstance:
         for tok in line.split():
             try:
                 lit = int(tok)
-            except ValueError:
-                raise DimacsError(f"non-integer token {tok!r}", lineno) from None
+            except ValueError as exc:
+                too_long = past_digit_limit(exc)
+                what = "token too long for an integer" if too_long else "non-integer token"
+                raise DimacsError(f"{what} {_excerpt(tok)}", lineno) from None
             if lit == 0:
                 if not current:
                     raise DimacsError("empty clause (terminator with no literals)", lineno)

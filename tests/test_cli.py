@@ -2,6 +2,9 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -506,6 +509,18 @@ def test_analyze_malformed_mps_exits_2(tmp_path, capsys, mutate):
     assert err.count(path) == 1  # named once, by the one file reader
 
 
+def test_cli_module_run_as_a_script_exits_as_the_entrypoint(tmp_path):
+    # python -m eigenmps.cli once imported the module, did nothing and exited 0
+    obj = mps_to_json(statevector_to_mps(zero_state(2)))
+    path = write_json(tmp_path / "bad.json", {**obj, "tensors": 5})
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, "-m", "eigenmps.cli", "analyze", path],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr and done.stderr.count(path) == 1
+
+
 def test_analyze_rejects_an_mps_above_the_qubit_cap(tmp_path, capsys):
     # 21 product sites: a few kB of file, 2^21 amplitudes once contracted
     site = {"shape": [1, 2, 1], "re": [1.0, 0.0], "im": [0.0, 0.0]}
@@ -568,8 +583,12 @@ def test_undecodable_or_unparsable_input_file_exits_2(tmp_path, capsys, kind, da
         ("dense", '{"n": "1", "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}', "integer"),
         ("dense", '{"n": 1, "re": [[1, 0], [0, "x"]], "im": [[0, 0], [0, 0]]}', "malformed"),
         ("dense", '{"n": 20000, "re": [], "im": []}', "cap"),
+        # past Python's 4300-digit limit: once "non-integer", with all 5000 digits echoed
+        ("dimacs", "p cnf " + "1" * 5000 + " 1\n1 0\n", "line 1: a count too long for an integer"),
+        ("dimacs", "p cnf 3 1\n" + "1" * 5000 + " 0\n", "line 2: token too long for an integer"),
     ],
-    ids=["dimacs-token", "dimacs-count", "dense-shape", "dense-n-str", "dense-entry", "dense-n-cap"],
+    ids=["dimacs-token", "dimacs-count", "dense-shape", "dense-n-str", "dense-entry", "dense-n-cap",
+         "dimacs-long-count", "dimacs-long-token"],
 )
 def test_format_error_inside_input_file_names_it(tmp_path, capsys, kind, text, fragment):
     bad = tmp_path / f"bad-{kind}"
@@ -579,6 +598,7 @@ def test_format_error_inside_input_file_names_it(tmp_path, capsys, kind, text, f
     code, err = run_exit_code(tmp_path, capsys, raw)
     assert code == 2
     assert f"{bad}: " in err and fragment in err
+    assert len(err) <= len(str(bad)) + 120  # the message quotes the input, never floods with it
 
 
 def test_readme_config_block_matches_schema():

@@ -8,8 +8,10 @@ from eigenmps.ansatz import build_mps_ansatz
 from eigenmps.errors import CapacityError, DimacsError, ShapeError, ValidationError
 from eigenmps.oracle import (
     BlackBoxUnitary,
+    FlipSectors,
     SatInstance,
     apply,
+    apply_raw,
     clause_violation_counts,
     default_sat_time,
     from_dense_matrix,
@@ -186,8 +188,8 @@ def _real_hamiltonians():
 
 @pytest.mark.parametrize("h, t", _real_hamiltonians())
 def test_real_hamiltonian_evolution_matches_the_complex_reference(h, t):
-    real = from_hamiltonian_evolution(h, t).matrix
-    reference = from_hamiltonian_evolution(h.astype(complex), t).matrix
+    real = to_matrix(from_hamiltonian_evolution(h, t))
+    reference = to_matrix(from_hamiltonian_evolution(h.astype(complex), t))
     assert real.dtype == np.complex128
     assert np.max(np.abs(real - reference)) < 1e-12
 
@@ -243,10 +245,35 @@ def test_flip_symmetric_evolution_matches_a_full_size_reference(h, t, monkeypatc
     assert np.array_equal(h, h[::-1, ::-1])
     reference = _reference_evolution(h, t)
     seen = _eigh_spy(monkeypatch)
-    u = from_hamiltonian_evolution(h, t).matrix
+    u = to_matrix(from_hamiltonian_evolution(h, t))
     assert [m.shape for m in seen] == [(len(h) // 2, len(h) // 2)] * 2
     assert u.dtype == np.complex128
     assert np.max(np.abs(u - reference)) < 1e-12
+
+
+@pytest.mark.parametrize("h, t", _flip_symmetric_hamiltonians())
+def test_flip_sector_oracle_applies_as_the_full_size_reference(h, t):
+    reference = _reference_evolution(h, t)
+    q = from_hamiltonian_evolution(h, t)
+    assert isinstance(q.matrix, FlipSectors)  # the sectors, never a full-size U
+    assert q.matrix.halves.shape == (2, len(h) // 2, len(h) // 2)
+    x = random_state(np.random.default_rng(len(h)), q.n).amplitudes
+    assert np.max(np.abs(apply_raw(q, x) - reference @ x)) < 1e-12
+    assert np.max(np.abs(apply_raw(q, x, adjoint=True) - reference.conj().T @ x)) < 1e-12
+    assert np.max(np.abs(to_matrix(q) - reference)) < 1e-12
+
+
+def test_flip_symmetric_oracle_keeps_about_half_the_memory_of_u():
+    # U at n=10 is 2^20 complex entries, 16 MB; the two sectors U+/2 and U-/2 are 8 MB
+    h = tfi_hamiltonian(10, 1.0, 1.0)
+    tracemalloc.start()
+    try:
+        q = from_hamiltonian_evolution(h, 1.0)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert q.matrix.shape == h.shape
+    assert kept <= 0.55 * 2**20 * 16
 
 
 def _longitudinal_field(n: int) -> np.ndarray:
@@ -268,7 +295,7 @@ def test_flip_asymmetric_evolution_runs_one_full_size_eigh(h, t, monkeypatch):
     assert not np.array_equal(h, h[::-1, ::-1])
     reference = _reference_evolution(h, t)
     seen = _eigh_spy(monkeypatch)
-    u = from_hamiltonian_evolution(h, t).matrix
+    u = to_matrix(from_hamiltonian_evolution(h, t))
     assert [m.shape for m in seen] == [h.shape]
     assert np.max(np.abs(u - reference)) < 1e-12
 
@@ -429,11 +456,16 @@ def test_parse_dimacs_comments_and_multiline_clauses():
         ("p cnf 2 1\n1 2\n", "unterminated"),
         ("p cnf 2 1\nx 0\n", "non-integer"),
         ("p cnf 2 1\np cnf 2 1\n", "duplicate"),
+        ("p cnf " + "1" * 5000 + " 1\n", "count too long for an integer"),
+        ("p cnf 2 1\n" + "1" * 5000 + " 0\n", "token too long for an integer"),
+        ("p cnf 2 1\n" + "x" * 5000 + " 0\n", "non-integer token"),
+        ("p cnf 2 " + "x" * 5000 + "\n", "non-integer counts"),
     ],
 )
 def test_parse_dimacs_errors(text, fragment):
-    with pytest.raises(DimacsError, match=fragment):
+    with pytest.raises(DimacsError, match=fragment) as info:
         parse_dimacs(text)
+    assert len(str(info.value)) <= 120  # a long token is cut, not echoed whole
 
 
 def test_parse_dimacs_error_carries_line_number():

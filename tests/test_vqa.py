@@ -13,7 +13,7 @@ from eigenmps.ansatz import prepare_state
 from eigenmps.errors import CapacityError, NumericalError, ValidationError
 from eigenmps.oracle import BlackBoxUnitary, default_sat_time, from_sat_instance
 from eigenmps.oracle import apply as oracle_apply, apply_raw, from_dense_matrix, planted_unitary
-from eigenmps.oracle import to_matrix
+from eigenmps.oracle import from_hamiltonian_evolution, tfi_hamiltonian, to_matrix
 from eigenmps.simulator import inner_product, qubit_zero_probs, zero_state
 from eigenmps.vqa import (
     OptimizerConfig,
@@ -360,6 +360,17 @@ def test_loss_and_gradient_matches_central_differences(n, k_share, dense, seed):
     rng = np.random.default_rng(seed)
     circuit = build_mps_ansatz(n, round(k_share * (n // 2)))
     q = random_oracle(rng, n, dense)
+    theta = rng.uniform(0, 2 * np.pi, circuit.total_params)
+    _, grad, _ = loss_and_gradient(circuit, theta, q)
+    fd = loss_gradient_fd(circuit, theta, q, step=1e-5)
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(fd))))
+
+
+def test_loss_and_gradient_on_a_flip_sector_oracle_matches_central_differences():
+    # the tfi oracle keeps its two flip sectors, so the adjoint apply runs through __rmatmul__
+    rng = np.random.default_rng(61)
+    circuit = build_mps_ansatz(6, 1)
+    q = from_hamiltonian_evolution(tfi_hamiltonian(6, 1.0, 0.7), 0.9)
     theta = rng.uniform(0, 2 * np.pi, circuit.total_params)
     _, grad, _ = loss_and_gradient(circuit, theta, q)
     fd = loss_gradient_fd(circuit, theta, q, step=1e-5)
