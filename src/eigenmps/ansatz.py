@@ -35,6 +35,9 @@ from .simulator import (
 # k = n/2 up to n = 14 and stays at desk scale.
 MAX_BLOCK_WIDTH = 8
 
+# Widest Kronecker product of the k = 0 layer's blocks (fused_windows; measured at n = 6, 10, 14).
+FUSED_WIDTH = 4
+
 # Entries of I, X, Y, Z (rows) at one qubit's (i, j) pair (columns, index 2i + j).
 _PAULI_ENTRIES = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]])
 
@@ -179,20 +182,31 @@ def block_parameter_gradient(circuit: AnsatzCircuit, theta: np.ndarray, windows:
     return 2.0 * np.stack([dt1, dt2], axis=1).real.ravel()
 
 
-def apply_staircase(circuit: AnsatzCircuit, mats: np.ndarray, amps: np.ndarray, adjoint: bool = False):
-    """U|amps> for U = the blocks mats in staircase order; with adjoint, U^dagger|amps>."""
-    steps = zip(circuit.blocks, mats)
-    if adjoint:
-        steps = zip(circuit.blocks[::-1], mats.conj().swapaxes(1, 2)[::-1])
-    for spec, m in steps:
-        amps = apply_matrix_raw(amps, circuit.n, m, spec.window.targets)
+def fused_windows(circuit: AnsatzCircuit, mats: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """(targets, matrix) per window in staircase order: a run of blocks on disjoint, adjacent windows
+    (the k = 0 layer) is fused into their Kronecker product, up to FUSED_WIDTH qubits wide."""
+    windows = []
+    for spec, m in zip(circuit.blocks, mats):
+        targets, (run, fused) = spec.window.targets, windows[-1] if windows else ((), m)
+        if run[-1:] == (targets[0] - 1,) and len(fused) * len(m) <= 2**FUSED_WIDTH:
+            m = (fused[:, None, :, None] * m[:, None]).reshape(len(fused) * len(m), -1)  # fused (x) m
+            targets = run + targets
+            windows.pop()
+        windows.append((targets, m))
+    return windows
+
+
+def apply_staircase(n: int, windows: list, amps: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """U|amps> for U = the fused_windows in staircase order; with adjoint, U^dagger|amps>."""
+    for targets, m in windows[::-1] if adjoint else windows:
+        amps = apply_matrix_raw(amps, n, m.conj().T if adjoint else m, targets)
     return amps
 
 
 def prepare_state(circuit: AnsatzCircuit, theta: np.ndarray) -> Statevector:
     """U(theta)|0...0>: apply the blocks in staircase order to the zero state."""
-    amps = zero_state(circuit.n).amplitudes
-    return Statevector(circuit.n, apply_staircase(circuit, block_matrices(circuit, theta), amps))
+    windows = fused_windows(circuit, block_matrices(circuit, theta))
+    return Statevector(circuit.n, apply_staircase(circuit.n, windows, zero_state(circuit.n).amplitudes))
 
 
 def pauli_log_coefficients(u: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from .oracle import (
     read_dense_matrix_json,
 )
 from .oracle import tfi_hamiltonian as _tfi_hamiltonian  # the name bench/ calls and traces
-from .simulator import MAX_QUBITS
+from .simulator import MAX_QUBITS, MAX_SHOTS
 from .tensor import mps_from_json, mps_to_json, mps_to_statevector, schmidt_spectra
 from .tensor import statevector_to_mps, truncate
 from .vqa import DEFAULT_CERT_TOL, OptimizerConfig, run_sweep
@@ -164,6 +164,8 @@ def config_from_dict(obj: dict) -> RunConfig:
     config = RunConfig(**top)
     if config.shots < 0:
         raise ValidationError(f"shots must be >= 0, got {config.shots}")
+    if config.shots > MAX_SHOTS:
+        raise CapacityError(f"shots={config.shots} exceeds the cap of {MAX_SHOTS}")
     if config.shots and config.optimizer.method not in (None, "spsa"):
         raise ValidationError(f"shots > 0 needs optimizer method null or 'spsa', "
                               f"got {config.optimizer.method!r}")

@@ -8,6 +8,7 @@ therefore makes axis i the axis of qubit i.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,8 @@ from .errors import CapacityError, ShapeError, ValidationError
 MAX_QUBITS = 20
 
 UNITARY_TOL = 1e-10
+
+MAX_SHOTS = 2**20  # one sample_probs call holds a few 8-byte arrays this long: about 25 MB
 
 
 @dataclass(frozen=True)
@@ -117,13 +120,13 @@ def apply_matrix_raw(amps: np.ndarray, n: int, matrix: np.ndarray, targets: tupl
     """Unvalidated kernel behind apply_block; amps may stack vectors on leading axes.
 
     A window of consecutive ascending qubits j .. j+w-1 (every staircase window) is one
-    matmul on a copy-free view: m on (..., 2^j, 2^w, rest), or m (x) I_rest on (..., 2^w rest)
-    once 2^j > 2^w rest^2 (measured); other windows are transposed to the front and back.
+    matmul on a copy-free view: m on (..., 2^j, 2^w, rest), or m (x) I_rest on (-1, 2^w rest) once
+    rows 2^j > 2^w rest^2 (measured; rows = stacked vectors); other windows are transposed.
     """
-    lead, w, j = amps.shape[:-1], len(targets), targets[0]
+    lead, rows, w, j = amps.shape[:-1], amps.size >> n, len(targets), targets[0]
     if targets == tuple(range(j, j + w)):
         rest = 2 ** (n - j - w)
-        if 2**j <= 2**w * rest**2:
+        if rows * 2**j <= 2**w * rest**2:
             return (matrix @ amps.reshape(*lead, 2**j, 2**w, rest)).reshape(amps.shape)
         widened = (matrix[:, None, :, None] * np.eye(rest)[:, None]).reshape(2**w * rest, -1)
         return (amps.reshape(-1, 2**w * rest) @ widened.T).reshape(amps.shape)
@@ -149,9 +152,25 @@ def qubit_zero_probs(amps: np.ndarray, n: int) -> np.ndarray:
     return _zero_sums(np.abs(amps) ** 2, n)
 
 
+@functools.cache
+def _zero_table(m: int) -> np.ndarray:
+    """(2^m, m + 1): 1.0 where bit i of the m-bit row index reads 0; bit m (always 0) is the last."""
+    return 1.0 - (np.arange(2**m)[:, None] >> np.array([*range(m - 1, -1, -1), m]) & 1)
+
+
 def _zero_sums(weights: np.ndarray, n: int) -> np.ndarray:
-    """Sum of weights[x] over bit_i(x) = 0, for every qubit i."""
-    return np.array([weights.reshape((2,) * n).take(0, axis=i).sum() for i in range(n)])
+    """Sum of weights[x] over bit_i(x) = 0, for every qubit i: two small products over the
+    (2^h, 2^(n-h)) split of x, h = n // 2, whose tables' last columns sum the other half."""
+    h = n // 2
+    sums = _zero_table(h).T @ weights.reshape(2**h, -1) @ _zero_table(n - h)
+    return np.concatenate([sums[:h, -1], sums[-1, :-1]])
+
+
+def zero_weight(values: np.ndarray, n: int) -> np.ndarray:
+    """w(x) = sum of values[i] over the qubits i reading 0 in x, for every x: _zero_sums' transpose."""
+    h = n // 2
+    return ((_zero_table(h)[:, :-1] @ values[:h])[:, None] + _zero_table(n - h)[:, :-1] @ values[h:]
+            ).ravel()
 
 
 def projector_prob(state: Statevector, i: int) -> float:
@@ -177,6 +196,8 @@ def sample_probs(state: Statevector, shots: int, seed: int) -> np.ndarray:
     """
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
+    if shots > MAX_SHOTS:
+        raise CapacityError(f"shots={shots} exceeds the cap of {MAX_SHOTS}")
     rng = np.random.default_rng(seed)
     p = np.abs(state.amplitudes) ** 2
     outcomes = rng.choice(p.size, size=shots, p=p / p.sum())

@@ -20,10 +20,10 @@ import numpy as np
 import scipy.optimize
 
 from .ansatz import AnsatzCircuit, apply_staircase, block_matrices, build_mps_ansatz
-from .ansatz import block_parameter_gradient, embed_parameters
+from .ansatz import block_parameter_gradient, embed_parameters, fused_windows
 from .errors import NumericalError, ShapeError, ValidationError
 from .oracle import BlackBoxUnitary, apply_raw as oracle_apply_raw
-from .simulator import Statevector, apply_matrix_raw, sample_probs, zero_state
+from .simulator import Statevector, apply_matrix_raw, sample_probs, zero_state, zero_weight
 from .simulator import qubit_zero_probs as _qubit_zero_probs  # the name bench/ traces
 
 DEFAULT_CLAMP = 1e-12
@@ -79,13 +79,14 @@ class SweepResult:
 
 
 def _forward(circuit: AnsatzCircuit, theta: np.ndarray, q: BlackBoxUnitary):
-    """Block matrices, U|0...0>, QU|0...0> and psi = U^dagger Q U|0...0>."""
+    """Block matrices, their fused windows, U|0...0>, QU|0...0> and psi = U^dagger Q U|0...0>."""
     if q.n != circuit.n:
         raise ShapeError(f"oracle on {q.n} qubits does not match circuit with n={circuit.n}")
-    mats = block_matrices(circuit, theta)
-    prepared = apply_staircase(circuit, mats, zero_state(circuit.n).amplitudes)
+    n, mats = circuit.n, block_matrices(circuit, theta)
+    windows = fused_windows(circuit, mats)  # built once, shared by the staircase passes
+    prepared = apply_staircase(n, windows, zero_state(n).amplitudes)
     kicked = oracle_apply_raw(q, prepared)
-    return mats, prepared, kicked, apply_staircase(circuit, mats, kicked, adjoint=True)
+    return mats, windows, prepared, kicked, apply_staircase(n, windows, kicked, adjoint=True)
 
 
 def probabilities(circuit: AnsatzCircuit, theta: np.ndarray, q: BlackBoxUnitary) -> np.ndarray:
@@ -124,26 +125,35 @@ def loss_and_gradient(circuit: AnsatzCircuit, theta: np.ndarray, q: BlackBoxUnit
     """(loss, gradient, certificate) from one forward and one reverse (adjoint) pass.
 
     Loss and certificate are bit-equal to objective_report's.  dL = 2 Re <lam|dpsi> with
-    lam = -w psi, w(x) the sum of 1/p_i over the qubits reading 0 in x (0 below the clamp,
-    where the loss is flat); Jones & Gacon, arXiv:2009.02823.  The reverse pass undoes each
-    block B_j on one stack [state, ahead, pulled, kicked]; pairing its halves gives Y_j =
-    X_j B_j, and block j gets 2 Re tr(dB_j X_j) from its window matrix X_j = Y_j B_j^dagger.
+    lam = -w psi, w(x) = zero_weight of 1/p_i (0 below the clamp, where the loss is flat);
+    Jones & Gacon, arXiv:2009.02823.  The reverse pass undoes each block B_j on one stack
+    [state, ahead, pulled, kicked]; pairing its halves (one _window_product) gives Y_j = X_j B_j,
+    and block j gets 2 Re tr(dB_j X_j) from its window matrix X_j = Y_j B_j^dagger.
     """
     n = circuit.n
-    mats, state, kicked, psi = _forward(circuit, theta, q)
+    mats, windows, state, kicked, psi = _forward(circuit, theta, q)
     p = _qubit_zero_probs(psi, n)
     inverse = np.divide(1.0, p, out=np.zeros(n), where=p > DEFAULT_CLAMP)
-    weight = np.asarray(functools.reduce(np.add.outer, ([v, 0.0] for v in inverse)))
-    ahead = apply_staircase(circuit, mats, -weight.ravel() * psi)
+    ahead = apply_staircase(n, windows, -zero_weight(inverse, n) * psi)
     rows = np.stack([state, ahead, oracle_apply_raw(q, ahead, adjoint=True), kicked])
     del state, kicked, ahead  # only the stack stays alive through the sweep
-    windows = []
+    per_block = []
     for spec, undo in zip(circuit.blocks[::-1], mats.conj().swapaxes(1, 2)[::-1]):
         rows = apply_matrix_raw(rows, n, undo, spec.window.targets)
-        u, v = rows.reshape(2, 2, 2 ** spec.window.targets[0], len(undo), -1)  # contiguous window
-        windows.append(np.einsum("aprq,apsq->rs", u, v.conj()) @ undo)
-    gradient = block_parameter_gradient(circuit, theta, windows[::-1])
+        u, v = rows.reshape(2, -1, len(undo), 2 ** (n - 1 - spec.window.targets[-1]))
+        per_block.append(_window_product(u, v.conj()) @ undo)
+    gradient = block_parameter_gradient(circuit, theta, per_block[::-1])
     return log_likelihood(p), gradient, _overlap(psi)
+
+
+def _window_product(u: np.ndarray, v: np.ndarray, traced: bool | None = None) -> np.ndarray:
+    """sum_pq u[p, r, q] v[p, s, q] over (2 2^j, 2^w, rest) views: batched products while
+    2^j <= 2^w rest^2 (measured), else (traced) one (2^w rest)^2 product traced over rest pairs."""
+    batch, dim, rest = u.shape
+    if not (batch > 2 * dim * rest**2 if traced is None else traced):
+        return (u @ v.swapaxes(1, 2)).sum(axis=0)
+    square = u.reshape(batch, -1).T @ v.reshape(batch, -1)
+    return square.reshape(dim, rest, dim, rest).trace(axis1=1, axis2=3)
 
 
 def loss_gradient_fd(

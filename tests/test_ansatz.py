@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eigenmps.ansatz import (
+    FUSED_WIDTH,
     MAX_BLOCK_WIDTH,
     _pauli_exponential,
     _pauli_sum,
     _pauli_traces,
+    apply_staircase,
     block_matrices,
     block_parameter_gradient,
     block_unitary,
@@ -17,13 +19,14 @@ from eigenmps.ansatz import (
     cost_estimate,
     ebit_bound,
     embed_parameters,
+    fused_windows,
     pauli_log_coefficients,
     pauli_strings,
     prepare_state,
     product_qubit_unitary,
 )
 from eigenmps.errors import CapacityError, ShapeError, ValidationError
-from eigenmps.simulator import zero_state
+from eigenmps.simulator import apply_matrix_raw, zero_state
 from eigenmps.tensor import rank, schmidt_spectrum
 
 
@@ -287,3 +290,44 @@ def test_rank_of_wider_budgets():
     c = build_mps_ansatz(6, 2)
     theta = rng.uniform(0, 2 * np.pi, c.total_params)
     assert rank(prepare_state(c, theta)) <= 4
+
+
+def per_block_staircase(circuit, mats, amps, adjoint=False):
+    """One apply_matrix_raw per block, the adjoint through one conjugate-transposed copy."""
+    steps = zip(circuit.blocks, mats)
+    if adjoint:
+        steps = zip(circuit.blocks[::-1], mats.conj().swapaxes(1, 2)[::-1])
+    for spec, m in steps:
+        amps = apply_matrix_raw(amps, circuit.n, m, spec.window.targets)
+    return amps
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_fused_product_layer_matches_the_per_block_loop(n):
+    rng = np.random.default_rng((91, n))
+    circuit = build_mps_ansatz(n, 0)
+    mats = block_matrices(circuit, rng.uniform(0, 2 * np.pi, circuit.total_params))
+    windows = fused_windows(circuit, mats)
+    assert [len(t) for t, _ in windows] == [FUSED_WIDTH] * (n // FUSED_WIDTH) + [n % FUSED_WIDTH] * (
+        n % FUSED_WIDTH > 0)  # ceil(n / FUSED_WIDTH) applies in place of n
+    for lead in [(), (4,)]:
+        amps = rng.normal(size=(*lead, 2**n)) + 1j * rng.normal(size=(*lead, 2**n))
+        for adjoint in (False, True):
+            out = apply_staircase(n, windows, amps, adjoint)
+            reference = per_block_staircase(circuit, mats, amps, adjoint)
+            assert out.shape == amps.shape
+            assert np.max(np.abs(out - reference)) <= 1e-12, (lead, adjoint)
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (5, 1), (6, 2), (7, 3), (10, 2), (10, 4)])
+def test_overlapping_blocks_apply_one_by_one_bit_for_bit(n, k):
+    rng = np.random.default_rng((92, n, k))
+    circuit = build_mps_ansatz(n, k)
+    mats = block_matrices(circuit, rng.uniform(0, 2 * np.pi, circuit.total_params))
+    windows = fused_windows(circuit, mats)
+    assert [t for t, _ in windows] == [b.window.targets for b in circuit.blocks]
+    for lead in [(), (4,)]:
+        amps = rng.normal(size=(*lead, 2**n)) + 1j * rng.normal(size=(*lead, 2**n))
+        for adjoint in (False, True):
+            out = apply_staircase(n, windows, amps, adjoint)
+            assert out.tobytes() == per_block_staircase(circuit, mats, amps, adjoint).tobytes()

@@ -397,6 +397,25 @@ def test_negative_seed_or_shots_exits_2_before_the_oracle_is_built(
     assert fragment in err
 
 
+@pytest.mark.parametrize("overrides, argv", [({"shots": 4611686018427387904}, []),
+                                             ({"shots": 2**20 + 1}, []),
+                                             ({}, ["--shots", str(10**10)])])
+def test_shots_above_the_cap_exit_2_before_anything_is_allocated(
+    tmp_path, capsys, monkeypatch, overrides, argv
+):
+    # 2^62 shots made Generator.choice raise a ValueError; 10^10 would draw 80 GB of outcomes
+    monkeypatch.setattr(cli, "build_oracle", lambda config: pytest.fail("oracle was built"))
+    monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: pytest.fail("sweep ran"))
+    config_path = write_json(tmp_path / "config.json", base_config(tmp_path, **overrides))
+    assert cli.main(["run", config_path, *argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "shots" in err and "cap" in err
+    with pytest.raises(CapacityError):
+        cli.config_from_dict(base_config(tmp_path, shots=cli.MAX_SHOTS + 1))
+    assert cli.config_from_dict(base_config(tmp_path, shots=cli.MAX_SHOTS)).shots == cli.MAX_SHOTS
+
+
 def test_budget_above_the_block_width_cap_exits_2_before_the_oracle_is_built(
     tmp_path, capsys, monkeypatch
 ):

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 
 import numpy as np
@@ -9,6 +11,7 @@ from eigenmps.ansatz import _pauli_sum
 from eigenmps.errors import CapacityError, ShapeError, ValidationError
 from eigenmps.oracle import tfi_hamiltonian
 from eigenmps.simulator import (
+    MAX_SHOTS,
     DenseUnitary,
     QubitWindow,
     Statevector,
@@ -20,6 +23,7 @@ from eigenmps.simulator import (
     qubit_zero_probs,
     sample_probs,
     zero_state,
+    zero_weight,
 )
 
 X = DenseUnitary(np.array([[0, 1], [1, 0]]))
@@ -247,6 +251,53 @@ def test_sample_probs_equals_the_per_qubit_loop_bit_for_bit():
             seed = int(rng.integers(2**31))
             assert sample_probs(state, shots, seed).tolist() == loop_sample_probs(
                 state, shots, seed).tolist(), (shots, n)
+
+
+def test_sample_probs_is_pinned_on_fixed_seeds():
+    # the counts are integers, so the split sums are exact: the digest of the per-qubit loop
+    rng = np.random.default_rng(81)
+    digest = hashlib.sha256()
+    for n in range(1, 13):
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state = Statevector(n, amps / np.linalg.norm(amps))
+        for shots in (1, 5, 1000, 4097):
+            digest.update(sample_probs(state, shots, int(rng.integers(2**31))).tobytes())
+    assert digest.hexdigest() == "8670c8cd30211e466cfa4754fd9c0f74d904241c3745018711f692859c5fb0c3"
+
+
+def test_sample_probs_above_the_shot_cap_is_refused_before_drawing():
+    with pytest.raises(CapacityError, match="shots"):
+        sample_probs(zero_state(2), MAX_SHOTS + 1, seed=0)
+    with pytest.raises(CapacityError, match="shots"):
+        sample_probs(zero_state(2), 4611686018427387904, seed=0)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_split_marginals_and_weight_match_the_take_and_add_outer_references(n):
+    rng = np.random.default_rng((83, n))
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    cube = (np.abs(amps) ** 2).reshape((2,) * n)
+    taken = np.array([cube.take(0, axis=i).sum() for i in range(n)])
+    assert np.max(np.abs(qubit_zero_probs(amps, n) - taken)) <= 1e-12 * taken.max()
+    values = rng.uniform(0, 5, n)
+    outer = np.asarray(functools.reduce(np.add.outer, ([v, 0.0] for v in values))).ravel()
+    assert np.max(np.abs(zero_weight(values, n) - outer)) <= 1e-12 * outer.max()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 4])
+def test_apply_matrix_raw_on_a_stack_equals_row_by_row_for_every_window_and_both_forms(rows):
+    # the widened form is taken once rows 2^j > 2^w rest^2: counting rows moves that boundary
+    n, forms = 10, set()
+    rng = np.random.default_rng((84, rows))
+    stack = rng.normal(size=(rows, 2**n)) + 1j * rng.normal(size=(rows, 2**n))
+    for w in range(1, n + 1):
+        for j in range(n - w + 1):
+            m = random_unitary(rng, 2**w)
+            out = apply_matrix_raw(stack, n, m, tuple(range(j, j + w)))
+            one_by_one = np.array([apply_matrix_raw(v, n, m, tuple(range(j, j + w))) for v in stack])
+            assert np.max(np.abs(out - one_by_one)) <= 1e-13, (j, w)
+            forms.add(rows * 2**j <= 2**w * 4 ** (n - j - w))
+    assert forms == {True, False}
 
 
 def test_hermitian_exp_equals_the_two_kernels_it_replaces_bit_for_bit():
