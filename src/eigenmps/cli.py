@@ -165,7 +165,7 @@ def config_from_dict(obj: dict) -> RunConfig:
     if config.shots < 0:
         raise ValidationError(f"shots must be >= 0, got {config.shots}")
     if config.shots > MAX_SHOTS:
-        raise CapacityError(f"shots={config.shots} exceeds the cap of {MAX_SHOTS}")
+        raise CapacityError(f"shots exceeds the cap of {MAX_SHOTS}")
     if config.shots and config.optimizer.method not in (None, "spsa"):
         raise ValidationError(f"shots > 0 needs optimizer method null or 'spsa', "
                               f"got {config.optimizer.method!r}")

@@ -153,24 +153,24 @@ def qubit_zero_probs(amps: np.ndarray, n: int) -> np.ndarray:
 
 
 @functools.cache
-def _zero_table(m: int) -> np.ndarray:
-    """(2^m, m + 1): 1.0 where bit i of the m-bit row index reads 0; bit m (always 0) is the last."""
-    return 1.0 - (np.arange(2**m)[:, None] >> np.array([*range(m - 1, -1, -1), m]) & 1)
+def _split_tables(n: int) -> list[np.ndarray]:
+    """The (2^m, m + 1) tables of x's (2^h, 2^(n-h)) split, m = h = n // 2 and m = n - h: 1.0 where
+    bit i of the m-bit index reads 0, and a last column of ones that sums over the other half."""
+    return [1.0 - (np.arange(2**m)[:, None] >> np.array([*range(m - 1, -1, -1), m]) & 1)
+            for m in (n // 2, n - n // 2)]
 
 
 def _zero_sums(weights: np.ndarray, n: int) -> np.ndarray:
-    """Sum of weights[x] over bit_i(x) = 0, for every qubit i: two small products over the
-    (2^h, 2^(n-h)) split of x, h = n // 2, whose tables' last columns sum the other half."""
-    h = n // 2
-    sums = _zero_table(h).T @ weights.reshape(2**h, -1) @ _zero_table(n - h)
-    return np.concatenate([sums[:h, -1], sums[-1, :-1]])
+    """Sum of weights[x] over bit_i(x) = 0, for every qubit i: two small products over the split."""
+    high, low = _split_tables(n)
+    sums = high.T @ weights.reshape(len(high), -1) @ low
+    return np.concatenate([sums[:-1, -1], sums[-1, :-1]])
 
 
 def zero_weight(values: np.ndarray, n: int) -> np.ndarray:
     """w(x) = sum of values[i] over the qubits i reading 0 in x, for every x: _zero_sums' transpose."""
-    h = n // 2
-    return ((_zero_table(h)[:, :-1] @ values[:h])[:, None] + _zero_table(n - h)[:, :-1] @ values[h:]
-            ).ravel()
+    (high, low), h = _split_tables(n), n // 2
+    return ((high[:, :-1] @ values[:h])[:, None] + low[:, :-1] @ values[h:]).ravel()
 
 
 def projector_prob(state: Statevector, i: int) -> float:
@@ -197,7 +197,7 @@ def sample_probs(state: Statevector, shots: int, seed: int) -> np.ndarray:
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
     if shots > MAX_SHOTS:
-        raise CapacityError(f"shots={shots} exceeds the cap of {MAX_SHOTS}")
+        raise CapacityError(f"shots exceeds the cap of {MAX_SHOTS}")
     rng = np.random.default_rng(seed)
     p = np.abs(state.amplitudes) ** 2
     outcomes = rng.choice(p.size, size=shots, p=p / p.sum())

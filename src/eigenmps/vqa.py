@@ -140,20 +140,17 @@ def loss_and_gradient(circuit: AnsatzCircuit, theta: np.ndarray, q: BlackBoxUnit
     per_block = []
     for spec, undo in zip(circuit.blocks[::-1], mats.conj().swapaxes(1, 2)[::-1]):
         rows = apply_matrix_raw(rows, n, undo, spec.window.targets)
-        u, v = rows.reshape(2, -1, len(undo), 2 ** (n - 1 - spec.window.targets[-1]))
-        per_block.append(_window_product(u, v.conj()) @ undo)
+        rest = 2 ** (n - 1 - spec.window.targets[-1])
+        per_block.append(_window_product(rows, len(undo), rest) @ undo)
     gradient = block_parameter_gradient(circuit, theta, per_block[::-1])
     return log_likelihood(p), gradient, _overlap(psi)
 
 
-def _window_product(u: np.ndarray, v: np.ndarray, traced: bool | None = None) -> np.ndarray:
-    """sum_pq u[p, r, q] v[p, s, q] over (2 2^j, 2^w, rest) views: batched products while
-    2^j <= 2^w rest^2 (measured), else (traced) one (2^w rest)^2 product traced over rest pairs."""
-    batch, dim, rest = u.shape
-    if not (batch > 2 * dim * rest**2 if traced is None else traced):
-        return (u @ v.swapaxes(1, 2)).sum(axis=0)
-    square = u.reshape(batch, -1).T @ v.reshape(batch, -1)
-    return square.reshape(dim, rest, dim, rest).trace(axis1=1, axis2=3)
+def _window_product(rows: np.ndarray, dim: int, rest: int) -> np.ndarray:
+    """sum_pq u[p, r, q] conj(v[p, s, q]) for [u, v] = rows on (2, -1, dim, rest) views: one product
+    of the (dim, -1) transposed halves (measured against einsum, batched products and tensordot)."""
+    u, v = rows.reshape(2, -1, dim, rest).swapaxes(1, 2).reshape(2, dim, -1)
+    return u @ v.conj().T
 
 
 def loss_gradient_fd(

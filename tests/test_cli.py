@@ -399,7 +399,9 @@ def test_negative_seed_or_shots_exits_2_before_the_oracle_is_built(
 
 @pytest.mark.parametrize("overrides, argv", [({"shots": 4611686018427387904}, []),
                                              ({"shots": 2**20 + 1}, []),
-                                             ({}, ["--shots", str(10**10)])])
+                                             ({"shots": 10**4000}, []),
+                                             ({}, ["--shots", str(10**10)]),
+                                             ({}, ["--shots", str(10**4000)])])
 def test_shots_above_the_cap_exit_2_before_anything_is_allocated(
     tmp_path, capsys, monkeypatch, overrides, argv
 ):
@@ -411,6 +413,7 @@ def test_shots_above_the_cap_exit_2_before_anything_is_allocated(
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "shots" in err and "cap" in err
+    assert len(err) <= len(config_path) + 120  # a 4001-digit count is not echoed
     with pytest.raises(CapacityError):
         cli.config_from_dict(base_config(tmp_path, shots=cli.MAX_SHOTS + 1))
     assert cli.config_from_dict(base_config(tmp_path, shots=cli.MAX_SHOTS)).shots == cli.MAX_SHOTS
