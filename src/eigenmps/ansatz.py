@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ import scipy.linalg
 
 from .errors import CapacityError, ShapeError, ValidationError
 from .simulator import (
+    MAX_QUBITS,
     DenseUnitary,
     QubitWindow,
     Statevector,
@@ -97,10 +99,10 @@ def build_mps_ansatz(n: int, k: int) -> AnsatzCircuit:
     product blocks with 2 parameters each; k >= 1 yields n-k blocks of width
     k+1 with 4^(k+1) - 1 parameters each, applied in order j = 0 .. n-k-1.
     """
-    if n < 1:
-        raise ValidationError(f"qubit count must be >= 1, got {n}")
+    if not 1 <= n <= MAX_QUBITS:  # before any of the n - k blocks is built
+        raise CapacityError(f"qubit count must be in [1, {MAX_QUBITS}], got {reprlib.repr(n)}")
     if not 0 <= k <= n // 2:
-        raise ValidationError(f"ebit budget k={k} outside valid range [0, {n // 2}] for n={n}")
+        raise ValidationError(f"ebit budget k={reprlib.repr(k)} outside [0, {n // 2}] for n={n}")
     if k + 1 > MAX_BLOCK_WIDTH:
         raise CapacityError(f"ebit budget k={k} needs block width {k + 1} > cap {MAX_BLOCK_WIDTH}")
     width = k + 1

@@ -12,6 +12,7 @@ import datetime
 import json
 import math
 import os
+import reprlib
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
@@ -88,13 +89,13 @@ def _convert(value, convert, name: str):
     kind = {int: "an integer", float: "a number", str: "a string"}[convert]
     accepted = {int: (int,), float: (int, float), str: (str,)}[convert]
     if type(value) not in accepted:  # type(): a bool is an int subclass but no number here
-        raise ValidationError(f"{name} must be {kind}, got {value!r}")
+        raise ValidationError(f"{name} must be {kind}, got {reprlib.repr(value)}")
     try:
         result = convert(value)
     except OverflowError:
-        raise ValidationError(f"{name} must be {kind}, got {value!r}") from None
+        raise ValidationError(f"{name} must be {kind}, got {reprlib.repr(value)}") from None
     if convert is float and not math.isfinite(result):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
+        raise ValidationError(f"{name} must be finite, got {reprlib.repr(value)}")
     return result
 
 
@@ -107,7 +108,7 @@ def _entries(obj, path: str = "") -> dict:
     for key, value in obj.items():
         name = f"{path}.{key}" if path else key
         if key not in CONFIG_SCHEMA[path]:
-            raise ValidationError(f"unknown config key {name!r}")
+            raise ValidationError(f"unknown config key {reprlib.repr(name)}")
         if name in CONFIG_SCHEMA:
             value = _entries(value, name)
         elif key in FIELD_TYPES and not (value is None and key in ("path", "t")):  # None: default
@@ -127,22 +128,22 @@ def config_from_dict(obj: dict) -> RunConfig:
             raise ValidationError(f"config is missing required key {key!r}")
     n, k_max = top["n"], top["k_max"]
     if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+        raise ValidationError(f"n must be >= 1, got {reprlib.repr(n)}")
     if n > MAX_QUBITS:
-        raise CapacityError(f"n={n} exceeds the simulator cap of {MAX_QUBITS} qubits")
+        raise CapacityError(f"n={reprlib.repr(n)} exceeds the simulator cap of {MAX_QUBITS} qubits")
     if not 0 <= k_max <= n // 2:
-        raise ValidationError(f"k_max={k_max} outside valid range [0, {n // 2}] for n={n}")
+        raise ValidationError(f"k_max={reprlib.repr(k_max)} outside [0, {n // 2}] for n={n}")
     build_mps_ansatz(n, k_max)  # its block-width cap, checked before any budget runs
 
     kind = top["oracle"].get("type")
     if kind not in ORACLE_TYPES:
-        raise ValidationError(f"oracle type must be one of {ORACLE_TYPES}, got {kind!r}")
+        raise ValidationError(f"oracle type must be one of {ORACLE_TYPES}, got {reprlib.repr(kind)}")
     oracle = top["oracle"] = OracleSpec(**top["oracle"])
     if kind in ("dimacs", "dense") and not oracle.path:
         raise ValidationError(f"oracle type {kind!r} requires a 'path'")
     if kind == "hamiltonian" and oracle.preset not in HAMILTONIAN_PRESETS:
         raise ValidationError(
-            f"hamiltonian preset must be one of {HAMILTONIAN_PRESETS}, got {oracle.preset!r}"
+            f"hamiltonian preset must be one of {HAMILTONIAN_PRESETS}, got {reprlib.repr(oracle.preset)}"
         )
     if kind == "planted":
         planted = oracle.planted
@@ -152,7 +153,8 @@ def config_from_dict(obj: dict) -> RunConfig:
             if key not in planted:
                 raise ValidationError(f"planted oracle spec is missing {key!r}")
             if planted[key] < 0:  # numpy seeds must be non-negative
-                raise ValidationError(f"oracle.planted.{key} must be >= 0, got {planted[key]}")
+                raise ValidationError(f"oracle.planted.{key} must be >= 0, "
+                                      f"got {reprlib.repr(planted[key])}")
         build_mps_ansatz(n, planted["k"])  # the budget range and block-width cap
     if kind != "dimacs" and n > MAX_DENSE_QUBITS:
         raise CapacityError(f"dense oracles are capped at {MAX_DENSE_QUBITS} qubits, got n={n}")
@@ -163,14 +165,14 @@ def config_from_dict(obj: dict) -> RunConfig:
     top["optimizer"] = OptimizerConfig(**optimizer)
     config = RunConfig(**top)
     if config.shots < 0:
-        raise ValidationError(f"shots must be >= 0, got {config.shots}")
+        raise ValidationError(f"shots must be >= 0, got {reprlib.repr(config.shots)}")
     if config.shots > MAX_SHOTS:
         raise CapacityError(f"shots exceeds the cap of {MAX_SHOTS}")
     if config.shots and config.optimizer.method not in (None, "spsa"):
         raise ValidationError(f"shots > 0 needs optimizer method null or 'spsa', "
                               f"got {config.optimizer.method!r}")
     if not 0.0 <= config.cert_tol < 1.0:
-        raise ValidationError(f"cert_tol must lie in [0, 1), got {config.cert_tol}")
+        raise ValidationError(f"cert_tol must lie in [0, 1), got {reprlib.repr(config.cert_tol)}")
     return config
 
 
@@ -221,7 +223,7 @@ def build_oracle(config: RunConfig) -> BlackBoxUnitary:
         sat = read_input(spec.path, parse_dimacs, encoding="ascii")
         if sat.num_vars != config.n:
             raise ValidationError(
-                f"DIMACS instance has {sat.num_vars} variables but config says n={config.n}"
+                f"DIMACS instance has {reprlib.repr(sat.num_vars)} variables but config says n={config.n}"
             )
         t = spec.t if spec.t is not None else default_sat_time(len(sat.clauses))
         return from_sat_instance(sat, t)

@@ -19,6 +19,7 @@ means TRUE, so the all-zero register is the all-false assignment.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,16 +60,20 @@ class FlipSectors:
     """U = [[S, D J], [J D, J S J]] held as halves = (U+ / 2, U- / 2), S, D = U+/2 +- U-/2.
 
     U+ and U- evolve the flip-even and flip-odd sectors; J reverses 2^(n-1)
-    indices.  U @ amps and amps @ U each run one half-size product per sector,
-    half the flops and memory of U; np.array(sectors) assembles U.
+    indices.  U @ amps runs one half-size product per sector, half the flops and
+    memory of U; U.T is the transposed sectors, a view; np.array(sectors) assembles U.
     """
 
-    __array_ufunc__ = None  # ndarray @ FlipSectors defers to __rmatmul__
+    __array_ufunc__ = None  # amps @ sectors raises TypeError rather than assembling U
 
     def __init__(self, halves: np.ndarray):
         self.halves = halves
         self.shape = (2 * halves.shape[1],) * 2
         self.dtype = halves.dtype
+
+    @property
+    def T(self) -> FlipSectors:  # U^T = [[S^T, D^T J], [J D^T, J S^T J]]
+        return FlipSectors(self.halves.transpose(0, 2, 1))
 
     def __matmul__(self, amps: np.ndarray) -> np.ndarray:
         # top S a + D J c, bottom J (D a + S J c), with a, c the halves of amps
@@ -76,13 +81,6 @@ class FlipSectors:
         a, b = amps[:half], amps[half:][::-1]
         x, y = self.halves[0] @ (a + b), self.halves[1] @ (a - b)
         return np.concatenate([x + y, (x - y)[::-1]])
-
-    def __rmatmul__(self, amps: np.ndarray) -> np.ndarray:
-        # the same pairing along amps's last axis, with each sector on the right
-        half = len(self.halves[0])
-        a, b = amps[..., :half], amps[..., half:][..., ::-1]
-        x, y = (a + b) @ self.halves[0], (a - b) @ self.halves[1]
-        return np.concatenate([x + y, (x - y)[..., ::-1]], axis=-1)
 
     def __array__(self, dtype=None, copy=None):  # always a new array: U is assembled here
         plus, minus = self.halves
@@ -101,10 +99,10 @@ class BlackBoxUnitary:
     kind is the one discriminator: a "dense" oracle holds exactly its
     2^n x 2^n operator, a "diagonal-phase" oracle exactly its 2^n
     unit-modulus phase vector.  The dense operator is an ndarray, or the
-    FlipSectors of a flip-symmetric Hamiltonian evolution, which answers @
-    from either side with two half-size products and is assembled into U
-    only by to_matrix.  A planted oracle is dense and also keeps the planted
-    eigenvector itself in planted_state, for ground-truth checks.
+    FlipSectors of a flip-symmetric Hamiltonian evolution, which answers
+    U @ amps with two half-size products, gives U^T as .T and is assembled
+    into U only by to_matrix.  A planted oracle is dense and also keeps the
+    planted eigenvector itself in planted_state, for ground-truth checks.
     """
 
     n: int
@@ -288,8 +286,8 @@ def apply(q: BlackBoxUnitary, state: Statevector) -> Statevector:
 
 def apply_raw(q: BlackBoxUnitary, amps: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """Q|amps>, or Q^dagger|amps> with adjoint, on a raw amplitude array (no shape re-validation)."""
-    if q.kind == "dense":  # Q^dagger a as conj(conj(a) Q): no conjugated copy of the matrix
-        return np.conj(amps.conj() @ q.matrix) if adjoint else q.matrix @ amps
+    if q.kind == "dense":  # Q^dagger a as conj(Q^T conj(a)): no conjugated copy of the matrix
+        return np.conj(q.matrix.T @ amps.conj()) if adjoint else q.matrix @ amps
     return (q.phases.conj() if adjoint else q.phases) * amps
 
 
@@ -300,11 +298,6 @@ def to_matrix(q: BlackBoxUnitary) -> np.ndarray:
     if q.kind == "dense":
         return np.array(q.matrix)
     return np.diag(q.phases)
-
-
-def _excerpt(text: str, limit: int = 32) -> str:
-    """repr of text, cut to its first limit characters so one token cannot flood a message."""
-    return repr(text) if len(text) <= limit else f"{text[:limit]!r}... ({len(text)} characters)"
 
 
 def parse_dimacs(text: str) -> SatInstance:
@@ -323,13 +316,13 @@ def parse_dimacs(text: str) -> SatInstance:
                 raise DimacsError("duplicate 'p cnf' header", lineno)
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
-                raise DimacsError(f"malformed header {_excerpt(line)}", lineno)
+                raise DimacsError(f"malformed header {reprlib.repr(line)}", lineno)
             try:
                 num_vars, declared_clauses = int(parts[2]), int(parts[3])
             except ValueError as exc:
                 too_long = past_digit_limit(exc)
                 what = "a count too long for an integer" if too_long else "non-integer counts"
-                raise DimacsError(f"{what} in header {_excerpt(line)}", lineno) from None
+                raise DimacsError(f"{what} in header {reprlib.repr(line)}", lineno) from None
             if num_vars < 0 or declared_clauses < 0:
                 raise DimacsError("negative counts in header", lineno)
             continue
@@ -341,7 +334,7 @@ def parse_dimacs(text: str) -> SatInstance:
             except ValueError as exc:
                 too_long = past_digit_limit(exc)
                 what = "token too long for an integer" if too_long else "non-integer token"
-                raise DimacsError(f"{what} {_excerpt(tok)}", lineno) from None
+                raise DimacsError(f"{what} {reprlib.repr(tok)}", lineno) from None
             if lit == 0:
                 if not current:
                     raise DimacsError("empty clause (terminator with no literals)", lineno)
@@ -350,7 +343,8 @@ def parse_dimacs(text: str) -> SatInstance:
             else:
                 if abs(lit) > num_vars:
                     raise DimacsError(
-                        f"literal {lit} exceeds declared variable count {num_vars}", lineno
+                        f"literal {reprlib.repr(lit)} exceeds declared variable count "
+                        f"{reprlib.repr(num_vars)}", lineno
                     )
                 current.append(lit)
     if num_vars is None:
@@ -359,7 +353,7 @@ def parse_dimacs(text: str) -> SatInstance:
         raise DimacsError("unterminated clause at end of input", lineno)
     if len(clauses) != declared_clauses:
         raise DimacsError(
-            f"header declares {declared_clauses} clauses, found {len(clauses)}", lineno
+            f"header declares {reprlib.repr(declared_clauses)} clauses, found {len(clauses)}", lineno
         )
     return SatInstance(num_vars, tuple(clauses))
 
@@ -370,16 +364,16 @@ def read_dense_matrix_json(obj: dict) -> np.ndarray:
         n = obj["n"]
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed dense matrix object: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed dense matrix object: {reprlib.repr(str(exc))}") from exc
     if type(n) is not int:  # a JSON integer: not a bool, a fraction or a numeric string
-        raise ValidationError(f"dense matrix n must be an integer, got {n!r}")
+        raise ValidationError(f"dense matrix n must be an integer, got {reprlib.repr(n)}")
     if not 1 <= n <= MAX_DENSE_QUBITS:  # before 2^n, which at n = 20000 is too long to print
-        raise CapacityError(f"dense matrix n={n} outside [1, {MAX_DENSE_QUBITS}], the dense cap")
+        raise CapacityError(f"dense matrix n={reprlib.repr(n)} outside [1, {MAX_DENSE_QUBITS}], the cap")
     dim = 2**n
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValidationError(
             f"dense matrix parts must be {dim}x{dim} for n={n}, "
-            f"got {re.shape} and {im.shape}"
+            f"got {reprlib.repr(re.shape)} and {reprlib.repr(im.shape)}"
         )
     return re + 1j * im

@@ -8,6 +8,7 @@ satisfies A^dagger A = I.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -172,27 +173,27 @@ def mps_from_json(obj: dict) -> MpsState:
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed MPS object: bad or missing {exc}") from exc
     if type(n) is not int:  # a JSON integer: not a bool, a fraction or a numeric string
-        raise ValidationError(f"MPS n must be an integer, got {n!r}")
+        raise ValidationError(f"MPS n must be an integer, got {reprlib.repr(n)}")
     if n > MAX_QUBITS:  # before any tensor is decoded or contracted to 2^n amplitudes
-        raise CapacityError(f"MPS on n={n} sites exceeds the simulator cap of {MAX_QUBITS} qubits")
+        raise CapacityError(f"MPS n={reprlib.repr(n)} exceeds the simulator cap of {MAX_QUBITS} qubits")
     if not isinstance(site_objs, list):
         raise ValidationError(f"MPS tensors must be a list, got {type(site_objs).__name__}")
     if len(site_objs) != n:
-        raise ValidationError(f"MPS declares n={n} but has {len(site_objs)} tensors")
+        raise ValidationError(f"MPS declares n={reprlib.repr(n)} but has {len(site_objs)} tensors")
     tensors = []
     for i, site in enumerate(site_objs):
         try:
             shape = site["shape"]
             re = np.asarray(site["re"], dtype=float)
             im = np.asarray(site["im"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed tensor at site {i}: {exc}") from exc
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"malformed tensor at site {i}: {reprlib.repr(str(exc))}") from exc
         if not (isinstance(shape, list) and len(shape) == 3
                 and all(type(d) is int and d > 0 for d in shape)):  # type(): bools are not sizes
-            raise ValidationError(f"tensor at site {i}: shape {shape!r} is not 3 positive integers")
+            raise ValidationError(f"site {i}: shape {reprlib.repr(shape)} is not 3 positive integers")
         if re.size != math.prod(shape) or im.size != math.prod(shape):  # exact: np.prod wraps
             raise ValidationError(
-                f"tensor at site {i}: {re.size} values do not fill shape {shape}"
+                f"tensor at site {i}: {re.size} values do not fill shape {reprlib.repr(shape)}"
             )
         if not (np.isfinite(re).all() and np.isfinite(im).all()):
             raise ValidationError(f"tensor at site {i} holds a non-finite value")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 import time
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -50,15 +51,15 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.method not in (None, *_METHODS):  # a tuple: compares, never hashes
-            raise ValidationError(f"unknown optimizer method {self.method!r}")
+            raise ValidationError(f"unknown optimizer method {reprlib.repr(self.method)}")
         if self.max_iters < 1:
-            raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
+            raise ValidationError(f"max_iters must be >= 1, got {reprlib.repr(self.max_iters)}")
         if not self.tol_loss >= 0:  # L-BFGS-B stops at once on a negative ftol
-            raise ValidationError(f"tol_loss must be >= 0, got {self.tol_loss}")
+            raise ValidationError(f"tol_loss must be >= 0, got {reprlib.repr(self.tol_loss)}")
         if self.restarts < 1:
-            raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
+            raise ValidationError(f"restarts must be >= 1, got {reprlib.repr(self.restarts)}")
         if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+            raise ValidationError(f"seed must be >= 0, got {reprlib.repr(self.seed)}")
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,9 @@ def probabilities(circuit: AnsatzCircuit, theta: np.ndarray, q: BlackBoxUnitary)
     return _qubit_zero_probs(_forward(circuit, theta, q)[-1], circuit.n)
 
 
-def log_likelihood(p: np.ndarray, clamp: float = DEFAULT_CLAMP) -> float:
-    """-sum_i ln p_i with p clamped to [clamp, 1]; zero iff every p_i is 1."""
-    p = np.clip(np.asarray(p, dtype=float), clamp, 1.0)
+def log_likelihood(p: np.ndarray) -> float:
+    """-sum_i ln p_i with p clamped to [DEFAULT_CLAMP, 1]; zero iff every p_i is 1."""
+    p = np.clip(np.asarray(p, dtype=float), DEFAULT_CLAMP, 1.0)
     return float(-np.log(p).sum() + 0.0)  # +0.0 folds -0.0 into 0.0
 
 

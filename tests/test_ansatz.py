@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from eigenmps import ansatz
 from eigenmps.ansatz import (
     FUSED_WIDTH,
     MAX_BLOCK_WIDTH,
@@ -26,7 +27,7 @@ from eigenmps.ansatz import (
     product_qubit_unitary,
 )
 from eigenmps.errors import CapacityError, ShapeError, ValidationError
-from eigenmps.simulator import apply_matrix_raw, zero_state
+from eigenmps.simulator import MAX_QUBITS, apply_matrix_raw, zero_state
 from eigenmps.tensor import rank, schmidt_spectrum
 
 
@@ -51,6 +52,14 @@ def test_budget_out_of_range():
         build_mps_ansatz(5, -1)
     with pytest.raises(CapacityError):
         build_mps_ansatz(18, 8)  # width 9
+
+
+def test_qubit_count_above_the_cap_raises_before_any_block_is_built(monkeypatch):
+    # n = 10^6 once spent seconds building a million blocks before anything checked n
+    monkeypatch.setattr(ansatz, "BlockSpec", lambda *a: pytest.fail("a block was built"))
+    for n in (MAX_QUBITS + 1, 10**6):
+        with pytest.raises(CapacityError, match="qubit count"):
+            build_mps_ansatz(n, 0)
 
 
 def test_parameter_tiling():

@@ -623,6 +623,81 @@ def test_format_error_inside_input_file_names_it(tmp_path, capsys, kind, text, f
     assert len(err) <= len(str(bad)) + 120  # the message quotes the input, never floods with it
 
 
+HUGE, LONG = 10**4000, "x" * 100_000
+# every config field a check quotes, with the oracle spec that reads it
+QUOTED_FIELDS = [
+    (None, ("n",)),
+    (None, ("k_max",)),
+    (None, ("seed",)),
+    (None, ("shots",)),
+    (None, ("cert_tol",)),
+    (None, ("optimizer", "max_iters")),
+    (None, ("optimizer", "restarts")),
+    (None, ("optimizer", "method")),
+    (None, ("oracle", "type")),
+    (TFI, ("oracle", "preset")),
+    (PLANTED, ("oracle", "planted", "k")),
+    (PLANTED, ("oracle", "planted", "seed")),
+    (PLANTED, ("oracle", "planted", "phases_seed")),
+]
+UNBOUNDED = ("seed", "max_iters", "restarts", "phases_seed")  # where 10^4000 is a valid value
+
+
+def _mps_of_zero(n=2, **site):
+    """The exported MPS of |00>, with its n and entries of its first site replaced."""
+    obj = mps_to_json(statevector_to_mps(zero_state(2)))
+    obj["tensors"][0].update(site)
+    return {**obj, "n": n}
+
+
+# each input file the CLI reads, as a function of the one value placed in it
+QUOTED_FILES = {
+    "dimacs-literal": ("dimacs", lambda v: f"p cnf 3 1\n{v} 0\n"),
+    "dimacs-clause-count": ("dimacs", lambda v: f"p cnf 3 {v}\n1 0\n"),
+    "dimacs-variable-count": ("dimacs", lambda v: f"p cnf {v} 1\n1 0\n"),
+    "dense-n": ("dense", lambda v: {"n": v, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}),
+    "dense-entry": ("dense", lambda v: {"n": 1, "re": [[1, 0], [0, v]], "im": [[0, 0], [0, 0]]}),
+    "mps-n": ("analyze", lambda v: _mps_of_zero(n=v)),
+    "mps-shape": ("analyze", lambda v: _mps_of_zero(shape=[v, 2, 1])),
+    "mps-entry": ("analyze", lambda v: _mps_of_zero(re=[v, 0.0])),
+}
+
+
+def _quoting_cases():
+    for value, tag in [(HUGE, "huge"), (-HUGE, "negative-huge"), (LONG, "long")]:
+        for oracle, path in QUOTED_FIELDS:
+            if value != HUGE or path[-1] not in UNBOUNDED:
+                yield pytest.param("config", (oracle, path), value, id=f"{'.'.join(path)}-{tag}")
+        yield pytest.param("config", (None, None), value, id=f"config-key-{tag}")
+        for name, (kind, make) in QUOTED_FILES.items():
+            yield pytest.param(kind, make, value, id=f"{name}-{tag}")
+
+
+@pytest.mark.parametrize("kind, target, value", _quoting_cases())
+def test_a_rejected_input_value_is_quoted_short(tmp_path, capsys, monkeypatch, kind, target, value):
+    # a 4001-digit integer was echoed in 4038-4108 characters, a long string whole
+    bad = tmp_path / f"bad-{kind}"
+    if kind == "config":
+        monkeypatch.setattr(cli, "build_oracle", lambda config: pytest.fail("oracle was built"))
+        oracle, path = target
+        raw = base_config(tmp_path)
+        raw = with_field(raw, oracle, path, value) if path else {**raw, str(value): 1}
+    else:
+        made = target(value)
+        bad.write_text(made if isinstance(made, str) else json.dumps(made))
+        raw = base_config(tmp_path, n=3 if kind == "dimacs" else 1, k_max=0,
+                          oracle={"type": kind, "path": str(bad)})
+    argv = ["analyze", str(bad)]
+    if kind != "analyze":
+        argv = ["run", write_json(tmp_path / "config.json", raw)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if kind != "config":  # a format error names its file once; a count mismatch is the config's
+        assert err.count(str(bad)) == ("config says" not in err)
+    assert len(err) <= len(argv[1]) + 120
+
+
 def test_readme_config_block_matches_schema():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("Config keys (exact", 1)[1].split("```json", 1)[1].split("```", 1)[0]

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_state, random_unitary
+from conftest import planted_recovery_instance, random_state, random_unitary
 from eigenmps.ansatz import build_mps_ansatz
 from eigenmps.errors import CapacityError, DimacsError, ShapeError, ValidationError
 from eigenmps.oracle import (
@@ -274,6 +274,35 @@ def test_flip_symmetric_oracle_keeps_about_half_the_memory_of_u():
         tracemalloc.stop()
     assert q.matrix.shape == h.shape
     assert kept <= 0.55 * 2**20 * 16
+
+
+def _row_times(amps: np.ndarray, m) -> np.ndarray:
+    """amps @ M, with a FlipSectors M paired on the right (the earlier FlipSectors.__rmatmul__)."""
+    if isinstance(m, np.ndarray):
+        return amps @ m
+    half = len(m.halves[0])
+    a, b = amps[..., :half], amps[..., half:][..., ::-1]
+    x, y = (a + b) @ m.halves[0], (a - b) @ m.halves[1]
+    return np.concatenate([x + y, (x - y)[..., ::-1]], axis=-1)
+
+
+def _adjoint_oracles():
+    for n in range(1, 11):
+        q = from_hamiltonian_evolution(tfi_hamiltonian(n, 1.0, 0.7), 0.9)
+        yield pytest.param(q, id=f"tfi-{n}")
+    yield pytest.param(planted_recovery_instance(0), id="planted-4")
+    yield pytest.param(from_dense_matrix(random_unitary(np.random.default_rng(5), 32)), id="dense-5")
+
+
+@pytest.mark.parametrize("q", _adjoint_oracles())
+def test_dense_adjoint_through_the_transpose_is_bit_identical_to_the_row_product(q):
+    # conj(Q^T conj(x)) runs the same products as conj(conj(x) Q), so no record moves
+    x = random_state(np.random.default_rng(q.n), q.n).amplitudes
+    assert np.array_equal(apply_raw(q, x, adjoint=True), np.conj(_row_times(x.conj(), q.matrix)))
+    if isinstance(q.matrix, FlipSectors):
+        assert np.array_equal(np.array(q.matrix.T), np.array(q.matrix).T)
+        with pytest.raises(TypeError):  # no right-hand pairing: never a silently assembled U
+            x @ q.matrix
 
 
 def _longitudinal_field(n: int) -> np.ndarray:

@@ -77,7 +77,7 @@ def test_probabilities_match_dense_pipeline():
 def test_log_likelihood_examples():
     assert log_likelihood(np.array([1.0, 1.0, 1.0])) == 0.0
     assert log_likelihood(np.array([0.5, 0.5])) == pytest.approx(1.3862944, abs=1e-7)
-    assert log_likelihood(np.array([0.0, 1.0]), clamp=1e-12) == pytest.approx(
+    assert log_likelihood(np.array([0.0, 1.0])) == pytest.approx(
         -math.log(1e-12), abs=1e-6
     )
 
@@ -367,7 +367,7 @@ def test_loss_and_gradient_matches_central_differences(n, k_share, dense, seed):
 
 
 def test_loss_and_gradient_on_a_flip_sector_oracle_matches_central_differences():
-    # the tfi oracle keeps its two flip sectors, so the adjoint apply runs through __rmatmul__
+    # the tfi oracle keeps its two flip sectors, so the adjoint apply runs through their .T
     rng = np.random.default_rng(61)
     circuit = build_mps_ansatz(6, 1)
     q = from_hamiltonian_evolution(tfi_hamiltonian(6, 1.0, 0.7), 0.9)
