@@ -40,7 +40,7 @@ def main():
         seed=args.seed,
     )
     started = time.perf_counter()
-    result = run_sweep(args.n, 1, q, config, cert_tol=1e-6)
+    result = run_sweep(1, q, config, cert_tol=1e-6)
     elapsed = time.perf_counter() - started
 
     for entry in result.per_k:

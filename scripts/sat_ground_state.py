@@ -50,7 +50,7 @@ def main():
     print(f"evolution time t = {t:.6f}")
 
     config = OptimizerConfig(max_iters=500, tol_loss=1e-14, restarts=5, seed=args.seed)
-    result = run_sweep(args.vars, 0, q, config, cert_tol=1e-7)
+    result = run_sweep(0, q, config, cert_tol=1e-7)
     entry = result.per_k[0]
     state = prepare_state(build_mps_ansatz(args.vars, 0), entry.theta)
     x_hat = int(np.argmax(np.abs(state.amplitudes)))

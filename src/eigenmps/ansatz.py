@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import CapacityError, ShapeError, ValidationError
+from .errors import CapacityError, ShapeError, ValidationError, quote
 from .simulator import (
     MAX_QUBITS,
     DenseUnitary,
@@ -100,9 +99,9 @@ def build_mps_ansatz(n: int, k: int) -> AnsatzCircuit:
     k+1 with 4^(k+1) - 1 parameters each, applied in order j = 0 .. n-k-1.
     """
     if not 1 <= n <= MAX_QUBITS:  # before any of the n - k blocks is built
-        raise CapacityError(f"qubit count must be in [1, {MAX_QUBITS}], got {reprlib.repr(n)}")
+        raise CapacityError(f"qubit count must be in [1, {MAX_QUBITS}], got {quote(n)}")
     if not 0 <= k <= n // 2:
-        raise ValidationError(f"ebit budget k={reprlib.repr(k)} outside [0, {n // 2}] for n={n}")
+        raise ValidationError(f"ebit budget k={quote(k)} outside [0, {n // 2}] for n={n}")
     if k + 1 > MAX_BLOCK_WIDTH:
         raise CapacityError(f"ebit budget k={k} needs block width {k + 1} > cap {MAX_BLOCK_WIDTH}")
     width = k + 1
@@ -227,10 +226,8 @@ def pauli_log_coefficients(u: np.ndarray) -> np.ndarray:
     return _pauli_traces(h[None], width)[0].real / u.shape[0]
 
 
-def embed_parameters(
-    prev_circuit: AnsatzCircuit, prev_theta: np.ndarray, circuit: AnsatzCircuit
-) -> np.ndarray:
-    """Lift optimized (k-1)-budget parameters into the k-budget family.
+def embed_parameters(prev_theta: np.ndarray, circuit: AnsatzCircuit) -> np.ndarray:
+    """Lift optimized parameters of the (n, k-1) staircase into circuit, the (n, k) one, k >= 1.
 
     Block j of the wider circuit is seeded with the previous block j acting on
     its first k qubits and the identity on the extra qubit; the final wider
@@ -239,12 +236,9 @@ def embed_parameters(
     up to a global phase and to rounding, so warm-started certificates are
     non-decreasing in k up to the rounding of this lift (a few ulps).
     """
-    if prev_circuit.n != circuit.n or prev_circuit.k != circuit.k - 1:
-        raise ValidationError(
-            f"cannot embed (n={prev_circuit.n}, k={prev_circuit.k}) parameters "
-            f"into (n={circuit.n}, k={circuit.k})"
-        )
-    prev_blocks = block_matrices(prev_circuit, prev_theta)
+    if circuit.k == 0:
+        raise ValidationError("no budget below k=0 to lift parameters from")
+    prev_blocks = block_matrices(build_mps_ansatz(circuit.n, circuit.k - 1), prev_theta)
     eye2 = np.eye(2, dtype=np.complex128)
     targets = [np.kron(b, eye2) for b in prev_blocks[:-1]]  # prev_j (x) I for block j
     targets[-1] = np.kron(eye2, prev_blocks[-1]) @ targets[-1]

@@ -12,7 +12,6 @@ import datetime
 import json
 import math
 import os
-import reprlib
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .ansatz import build_mps_ansatz, cnot_lower_bound, cost_estimate, ebit_bound, prepare_state
-from .errors import CapacityError, NumericalError, ValidationError, past_digit_limit
+from .errors import CapacityError, NumericalError, ValidationError, past_digit_limit, quote
 from .oracle import (
     MAX_DENSE_QUBITS,
     BlackBoxUnitary,
@@ -89,13 +88,13 @@ def _convert(value, convert, name: str):
     kind = {int: "an integer", float: "a number", str: "a string"}[convert]
     accepted = {int: (int,), float: (int, float), str: (str,)}[convert]
     if type(value) not in accepted:  # type(): a bool is an int subclass but no number here
-        raise ValidationError(f"{name} must be {kind}, got {reprlib.repr(value)}")
+        raise ValidationError(f"{name} must be {kind}, got {quote(value)}")
     try:
         result = convert(value)
     except OverflowError:
-        raise ValidationError(f"{name} must be {kind}, got {reprlib.repr(value)}") from None
+        raise ValidationError(f"{name} must be {kind}, got {quote(value)}") from None
     if convert is float and not math.isfinite(result):
-        raise ValidationError(f"{name} must be finite, got {reprlib.repr(value)}")
+        raise ValidationError(f"{name} must be finite, got {quote(value)}")
     return result
 
 
@@ -108,7 +107,7 @@ def _entries(obj, path: str = "") -> dict:
     for key, value in obj.items():
         name = f"{path}.{key}" if path else key
         if key not in CONFIG_SCHEMA[path]:
-            raise ValidationError(f"unknown config key {reprlib.repr(name)}")
+            raise ValidationError(f"unknown config key {quote(name)}")
         if name in CONFIG_SCHEMA:
             value = _entries(value, name)
         elif key in FIELD_TYPES and not (value is None and key in ("path", "t")):  # None: default
@@ -128,22 +127,22 @@ def config_from_dict(obj: dict) -> RunConfig:
             raise ValidationError(f"config is missing required key {key!r}")
     n, k_max = top["n"], top["k_max"]
     if n < 1:
-        raise ValidationError(f"n must be >= 1, got {reprlib.repr(n)}")
+        raise ValidationError(f"n must be >= 1, got {quote(n)}")
     if n > MAX_QUBITS:
-        raise CapacityError(f"n={reprlib.repr(n)} exceeds the simulator cap of {MAX_QUBITS} qubits")
+        raise CapacityError(f"n={quote(n)} exceeds the simulator cap of {MAX_QUBITS} qubits")
     if not 0 <= k_max <= n // 2:
-        raise ValidationError(f"k_max={reprlib.repr(k_max)} outside [0, {n // 2}] for n={n}")
+        raise ValidationError(f"k_max={quote(k_max)} outside [0, {n // 2}] for n={n}")
     build_mps_ansatz(n, k_max)  # its block-width cap, checked before any budget runs
 
     kind = top["oracle"].get("type")
     if kind not in ORACLE_TYPES:
-        raise ValidationError(f"oracle type must be one of {ORACLE_TYPES}, got {reprlib.repr(kind)}")
+        raise ValidationError(f"oracle type must be one of {ORACLE_TYPES}, got {quote(kind)}")
     oracle = top["oracle"] = OracleSpec(**top["oracle"])
     if kind in ("dimacs", "dense") and not oracle.path:
         raise ValidationError(f"oracle type {kind!r} requires a 'path'")
     if kind == "hamiltonian" and oracle.preset not in HAMILTONIAN_PRESETS:
         raise ValidationError(
-            f"hamiltonian preset must be one of {HAMILTONIAN_PRESETS}, got {reprlib.repr(oracle.preset)}"
+            f"hamiltonian preset must be one of {HAMILTONIAN_PRESETS}, got {quote(oracle.preset)}"
         )
     if kind == "planted":
         planted = oracle.planted
@@ -154,7 +153,7 @@ def config_from_dict(obj: dict) -> RunConfig:
                 raise ValidationError(f"planted oracle spec is missing {key!r}")
             if planted[key] < 0:  # numpy seeds must be non-negative
                 raise ValidationError(f"oracle.planted.{key} must be >= 0, "
-                                      f"got {reprlib.repr(planted[key])}")
+                                      f"got {quote(planted[key])}")
         build_mps_ansatz(n, planted["k"])  # the budget range and block-width cap
     if kind != "dimacs" and n > MAX_DENSE_QUBITS:
         raise CapacityError(f"dense oracles are capped at {MAX_DENSE_QUBITS} qubits, got n={n}")
@@ -165,14 +164,14 @@ def config_from_dict(obj: dict) -> RunConfig:
     top["optimizer"] = OptimizerConfig(**optimizer)
     config = RunConfig(**top)
     if config.shots < 0:
-        raise ValidationError(f"shots must be >= 0, got {reprlib.repr(config.shots)}")
+        raise ValidationError(f"shots must be >= 0, got {quote(config.shots)}")
     if config.shots > MAX_SHOTS:
         raise CapacityError(f"shots exceeds the cap of {MAX_SHOTS}")
     if config.shots and config.optimizer.method not in (None, "spsa"):
         raise ValidationError(f"shots > 0 needs optimizer method null or 'spsa', "
                               f"got {config.optimizer.method!r}")
     if not 0.0 <= config.cert_tol < 1.0:
-        raise ValidationError(f"cert_tol must lie in [0, 1), got {reprlib.repr(config.cert_tol)}")
+        raise ValidationError(f"cert_tol must lie in [0, 1), got {quote(config.cert_tol)}")
     return config
 
 
@@ -223,7 +222,7 @@ def build_oracle(config: RunConfig) -> BlackBoxUnitary:
         sat = read_input(spec.path, parse_dimacs, encoding="ascii")
         if sat.num_vars != config.n:
             raise ValidationError(
-                f"DIMACS instance has {reprlib.repr(sat.num_vars)} variables but config says n={config.n}"
+                f"DIMACS instance has {quote(sat.num_vars)} variables but config says n={config.n}"
             )
         t = spec.t if spec.t is not None else default_sat_time(len(sat.clauses))
         return from_sat_instance(sat, t)
@@ -254,14 +253,7 @@ def main_run(config: RunConfig) -> dict:
     if not os.path.isdir(os.path.dirname(os.path.abspath(config.output_path))):  # before the sweep
         raise FileNotFoundError(f"no directory to write {config.output_path} in")
     q = build_oracle(config)
-    result = run_sweep(
-        config.n,
-        config.k_max,
-        q,
-        config.optimizer,
-        cert_tol=config.cert_tol,
-        shots=config.shots,
-    )
+    result = run_sweep(config.k_max, q, config.optimizer, cert_tol=config.cert_tol, shots=config.shots)
     best = max(result.per_k, key=lambda e: (e.certificate, -e.k))
     best_circuit = build_mps_ansatz(config.n, best.k)
     best_state = prepare_state(best_circuit, best.theta)
@@ -389,6 +381,14 @@ def write_json_atomic(obj: dict, path: str) -> None:
         raise
 
 
+def _int_flag(text: str) -> int:
+    """int(text) for --seed and --shots; a rejected value is quoted short, not echoed whole."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {quote(text)}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eigenmps",
@@ -397,9 +397,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="execute a sweep from a JSON config file")
     run.add_argument("config", help="path to the run config JSON")
-    run.add_argument("--seed", type=int, default=None, help="override the config seed")
+    run.add_argument("--seed", type=_int_flag, default=None, help="override the config seed")
     run.add_argument("--output", default=None, help="override the output path")
-    run.add_argument("--shots", type=int, default=None, help="override the shot count")
+    run.add_argument("--shots", type=_int_flag, default=None, help="override the shot count")
     analyze = sub.add_parser("analyze", help="audit an exported MPS or run record")
     analyze.add_argument("path", help="path to an MPS export or run record JSON")
     return parser

@@ -4,6 +4,14 @@ The CLI maps these onto distinct exit codes, so new failure modes should
 subclass one of the three top-level categories below.
 """
 
+import reprlib
+
+# Messages quote input values short: strings to 30 characters, integers to 40 digits, containers
+# to 6 items and one level (a nested list quotes as [[...], ...]), whatever the value's size.
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel = 1
+quote = _SHORT.repr
+
 
 class EigenmpsError(Exception):
     """Base class for all package errors."""

@@ -19,13 +19,12 @@ means TRUE, so the all-zero register is the all-false assignment.
 from __future__ import annotations
 
 import math
-import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ansatz import AnsatzCircuit, prepare_state
-from .errors import CapacityError, DimacsError, ShapeError, ValidationError, past_digit_limit
+from .errors import CapacityError, DimacsError, ShapeError, ValidationError, past_digit_limit, quote
 from .simulator import Statevector, hermitian_exp
 
 ORACLE_UNITARY_TOL = 1e-8
@@ -316,13 +315,13 @@ def parse_dimacs(text: str) -> SatInstance:
                 raise DimacsError("duplicate 'p cnf' header", lineno)
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
-                raise DimacsError(f"malformed header {reprlib.repr(line)}", lineno)
+                raise DimacsError(f"malformed header {quote(line)}", lineno)
             try:
                 num_vars, declared_clauses = int(parts[2]), int(parts[3])
             except ValueError as exc:
                 too_long = past_digit_limit(exc)
                 what = "a count too long for an integer" if too_long else "non-integer counts"
-                raise DimacsError(f"{what} in header {reprlib.repr(line)}", lineno) from None
+                raise DimacsError(f"{what} in header {quote(line)}", lineno) from None
             if num_vars < 0 or declared_clauses < 0:
                 raise DimacsError("negative counts in header", lineno)
             continue
@@ -334,7 +333,7 @@ def parse_dimacs(text: str) -> SatInstance:
             except ValueError as exc:
                 too_long = past_digit_limit(exc)
                 what = "token too long for an integer" if too_long else "non-integer token"
-                raise DimacsError(f"{what} {reprlib.repr(tok)}", lineno) from None
+                raise DimacsError(f"{what} {quote(tok)}", lineno) from None
             if lit == 0:
                 if not current:
                     raise DimacsError("empty clause (terminator with no literals)", lineno)
@@ -343,8 +342,8 @@ def parse_dimacs(text: str) -> SatInstance:
             else:
                 if abs(lit) > num_vars:
                     raise DimacsError(
-                        f"literal {reprlib.repr(lit)} exceeds declared variable count "
-                        f"{reprlib.repr(num_vars)}", lineno
+                        f"literal {quote(lit)} exceeds declared variable count "
+                        f"{quote(num_vars)}", lineno
                     )
                 current.append(lit)
     if num_vars is None:
@@ -353,7 +352,7 @@ def parse_dimacs(text: str) -> SatInstance:
         raise DimacsError("unterminated clause at end of input", lineno)
     if len(clauses) != declared_clauses:
         raise DimacsError(
-            f"header declares {reprlib.repr(declared_clauses)} clauses, found {len(clauses)}", lineno
+            f"header declares {quote(declared_clauses)} clauses, found {len(clauses)}", lineno
         )
     return SatInstance(num_vars, tuple(clauses))
 
@@ -365,15 +364,15 @@ def read_dense_matrix_json(obj: dict) -> np.ndarray:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed dense matrix object: {reprlib.repr(str(exc))}") from exc
+        raise ValidationError(f"malformed dense matrix object: {quote(str(exc))}") from exc
     if type(n) is not int:  # a JSON integer: not a bool, a fraction or a numeric string
-        raise ValidationError(f"dense matrix n must be an integer, got {reprlib.repr(n)}")
+        raise ValidationError(f"dense matrix n must be an integer, got {quote(n)}")
     if not 1 <= n <= MAX_DENSE_QUBITS:  # before 2^n, which at n = 20000 is too long to print
-        raise CapacityError(f"dense matrix n={reprlib.repr(n)} outside [1, {MAX_DENSE_QUBITS}], the cap")
+        raise CapacityError(f"dense matrix n={quote(n)} outside [1, {MAX_DENSE_QUBITS}], the cap")
     dim = 2**n
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValidationError(
             f"dense matrix parts must be {dim}x{dim} for n={n}, "
-            f"got {reprlib.repr(re.shape)} and {reprlib.repr(im.shape)}"
+            f"got {quote(re.shape)} and {quote(im.shape)}"
         )
     return re + 1j * im

@@ -8,17 +8,17 @@ satisfies A^dagger A = I.
 from __future__ import annotations
 
 import math
-import reprlib
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import CapacityError, ShapeError, ValidationError
+from .errors import CapacityError, ShapeError, ValidationError, quote
 from .simulator import MAX_QUBITS, Statevector
 
-# "Non-zero singular value" needs a numerical cutoff; callers can override.
-DEFAULT_SV_TOL = 1e-10
+# "Non-zero singular value" needs a numerical cutoff: one for Schmidt ranks, one for the MPS export.
+RANK_TOL = 1e-10
+EXPORT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,9 @@ def _svd_sweep(amps: np.ndarray, n: int, keep_rule: Callable) -> tuple[list, flo
     return tensors, dropped
 
 
-def statevector_to_mps(state: Statevector, tol: float = 1e-12) -> MpsState:
-    """Left-canonical MPS by sequential reshape + SVD, dropping values <= tol."""
-    tensors, _ = _svd_sweep(state.amplitudes, state.n, lambda s: max(1, int((s > tol).sum())))
+def statevector_to_mps(state: Statevector) -> MpsState:
+    """Left-canonical MPS by sequential reshape + SVD, dropping values <= EXPORT_TOL."""
+    tensors, _ = _svd_sweep(state.amplitudes, state.n, lambda s: max(1, int((s > EXPORT_TOL).sum())))
     return MpsState(tuple(tensors))
 
 
@@ -104,23 +104,23 @@ def mps_to_statevector(mps: MpsState) -> Statevector:
     return Statevector(mps.n, acc.reshape(-1))
 
 
-def schmidt_spectrum(state: Statevector, cut: int, tol: float = DEFAULT_SV_TOL) -> SchmidtData:
-    """Singular values of the amplitude matrix split as qubits [0, cut) vs [cut, n)."""
+def schmidt_spectrum(state: Statevector, cut: int) -> SchmidtData:
+    """Singular values of the split qubits [0, cut) vs [cut, n); rank_eps counts those > RANK_TOL."""
     if not 1 <= cut <= state.n - 1:
         raise ValidationError(f"cut must be in [1, {state.n - 1}], got {cut}")
     mat = state.amplitudes.reshape(2**cut, -1)
     s = np.linalg.svd(mat, compute_uv=False)
-    return SchmidtData(cut, s, int((s > tol).sum()))
+    return SchmidtData(cut, s, int((s > RANK_TOL).sum()))
 
 
-def schmidt_spectra(state: Statevector, tol: float = DEFAULT_SV_TOL) -> list[SchmidtData]:
+def schmidt_spectra(state: Statevector) -> list[SchmidtData]:
     """Schmidt data of each of the n-1 contiguous cuts, one SVD per cut."""
-    return [schmidt_spectrum(state, cut, tol) for cut in range(1, state.n)]
+    return [schmidt_spectrum(state, cut) for cut in range(1, state.n)]
 
 
-def rank(state: Statevector, tol: float = DEFAULT_SV_TOL) -> int:
+def rank(state: Statevector) -> int:
     """Maximum Schmidt number over the n-1 contiguous cuts; 1 when there is no cut."""
-    return max((data.rank_eps for data in schmidt_spectra(state, tol)), default=1)
+    return max((data.rank_eps for data in schmidt_spectra(state)), default=1)
 
 
 def entanglement_ebits(state: Statevector, cut: int) -> float:
@@ -173,13 +173,13 @@ def mps_from_json(obj: dict) -> MpsState:
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed MPS object: bad or missing {exc}") from exc
     if type(n) is not int:  # a JSON integer: not a bool, a fraction or a numeric string
-        raise ValidationError(f"MPS n must be an integer, got {reprlib.repr(n)}")
+        raise ValidationError(f"MPS n must be an integer, got {quote(n)}")
     if n > MAX_QUBITS:  # before any tensor is decoded or contracted to 2^n amplitudes
-        raise CapacityError(f"MPS n={reprlib.repr(n)} exceeds the simulator cap of {MAX_QUBITS} qubits")
+        raise CapacityError(f"MPS n={quote(n)} exceeds the simulator cap of {MAX_QUBITS} qubits")
     if not isinstance(site_objs, list):
         raise ValidationError(f"MPS tensors must be a list, got {type(site_objs).__name__}")
     if len(site_objs) != n:
-        raise ValidationError(f"MPS declares n={reprlib.repr(n)} but has {len(site_objs)} tensors")
+        raise ValidationError(f"MPS declares n={quote(n)} but has {len(site_objs)} tensors")
     tensors = []
     for i, site in enumerate(site_objs):
         try:
@@ -187,13 +187,13 @@ def mps_from_json(obj: dict) -> MpsState:
             re = np.asarray(site["re"], dtype=float)
             im = np.asarray(site["im"], dtype=float)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"malformed tensor at site {i}: {reprlib.repr(str(exc))}") from exc
+            raise ValidationError(f"malformed tensor at site {i}: {quote(str(exc))}") from exc
         if not (isinstance(shape, list) and len(shape) == 3
                 and all(type(d) is int and d > 0 for d in shape)):  # type(): bools are not sizes
-            raise ValidationError(f"site {i}: shape {reprlib.repr(shape)} is not 3 positive integers")
+            raise ValidationError(f"site {i}: shape {quote(shape)} is not 3 positive integers")
         if re.size != math.prod(shape) or im.size != math.prod(shape):  # exact: np.prod wraps
             raise ValidationError(
-                f"tensor at site {i}: {re.size} values do not fill shape {reprlib.repr(shape)}"
+                f"tensor at site {i}: {re.size} values do not fill shape {quote(shape)}"
             )
         if not (np.isfinite(re).all() and np.isfinite(im).all()):
             raise ValidationError(f"tensor at site {i} holds a non-finite value")

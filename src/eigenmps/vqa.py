@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import reprlib
 import time
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -22,7 +21,7 @@ import scipy.optimize
 
 from .ansatz import AnsatzCircuit, apply_staircase, block_matrices, build_mps_ansatz
 from .ansatz import block_parameter_gradient, embed_parameters, fused_windows
-from .errors import NumericalError, ShapeError, ValidationError
+from .errors import NumericalError, ShapeError, ValidationError, quote
 from .oracle import BlackBoxUnitary, apply_raw as oracle_apply_raw
 from .simulator import Statevector, apply_matrix_raw, sample_probs, zero_state, zero_weight
 from .simulator import qubit_zero_probs as _qubit_zero_probs  # the name bench/ traces
@@ -51,15 +50,15 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.method not in (None, *_METHODS):  # a tuple: compares, never hashes
-            raise ValidationError(f"unknown optimizer method {reprlib.repr(self.method)}")
+            raise ValidationError(f"unknown optimizer method {quote(self.method)}")
         if self.max_iters < 1:
-            raise ValidationError(f"max_iters must be >= 1, got {reprlib.repr(self.max_iters)}")
+            raise ValidationError(f"max_iters must be >= 1, got {quote(self.max_iters)}")
         if not self.tol_loss >= 0:  # L-BFGS-B stops at once on a negative ftol
-            raise ValidationError(f"tol_loss must be >= 0, got {reprlib.repr(self.tol_loss)}")
+            raise ValidationError(f"tol_loss must be >= 0, got {quote(self.tol_loss)}")
         if self.restarts < 1:
-            raise ValidationError(f"restarts must be >= 1, got {reprlib.repr(self.restarts)}")
+            raise ValidationError(f"restarts must be >= 1, got {quote(self.restarts)}")
         if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {reprlib.repr(self.seed)}")
+            raise ValidationError(f"seed must be >= 0, got {quote(self.seed)}")
 
 
 @dataclass(frozen=True)
@@ -197,7 +196,7 @@ class _Tracked:
         value, *extra = out if isinstance(out, tuple) else (out,)
         value = float(value)
         if not math.isfinite(value):
-            raise NumericalError(f"objective returned {value} at theta={theta.tolist()}")
+            raise NumericalError(f"objective returned {value} at theta={quote(theta.tolist())}")
         if value < self.best_loss:
             self.best_loss, self.best_theta = value, theta.copy()
             self.best_certificate = extra[1] if extra else -math.inf
@@ -277,7 +276,6 @@ def _shot_loss(circuit, theta, q, shots: int, rng: np.random.Generator) -> float
 
 
 def run_sweep(
-    n: int,
     k_max: int,
     q: BlackBoxUnitary,
     config: OptimizerConfig,
@@ -285,7 +283,7 @@ def run_sweep(
     cert_tol: float = DEFAULT_CERT_TOL,
     shots: int = 0,
 ) -> SweepResult:
-    """Optimize the ansatz family for each ebit budget k = 0 .. k_max.
+    """Optimize the ansatz family on q's n qubits for each ebit budget k = 0 .. k_max.
 
     Every budget runs config.restarts independent minimizations; from k=1 on
     the first restart is seeded by lifting the previous budget's optimum,
@@ -300,9 +298,8 @@ def run_sweep(
     probability estimates (the method is forced to SPSA), while the reported
     loss and certificate stay exact.  Fully deterministic given config.seed.
     """
+    n = q.n
     build_mps_ansatz(n, k_max)  # the widest budget's range and capacity, before any budget runs
-    if q.n != n:
-        raise ShapeError(f"oracle on {q.n} qubits does not match n={n}")
     method = "spsa" if shots else config.method or "lbfgs"
     target = 1.0 - cert_tol
     per_k: list[SweepEntry] = []
@@ -312,7 +309,7 @@ def run_sweep(
         candidates: list[tuple[np.ndarray, float, float, tuple]] = []
         for restart in range(config.restarts):
             if restart == 0 and per_k:  # the lifted optimum: a candidate, then the start
-                theta0 = embed_parameters(build_mps_ansatz(n, k - 1), per_k[-1].theta, circuit)
+                theta0 = embed_parameters(per_k[-1].theta, circuit)
                 report = objective_report(circuit, theta0, q)
                 candidates.append((theta0, report.loss, report.certificate, ((0, report.loss),)))
                 if report.certificate >= target:

@@ -53,7 +53,7 @@ def planted_recovery_instance(index: int, n: int = 4) -> BlackBoxUnitary:
     for attempt in range(64):
         inst = np.random.default_rng((777, index, attempt))
         theta_prod = inst.uniform(0, 2 * np.pi, c0.total_params)
-        theta_star = embed_parameters(c0, theta_prod, c1) + 0.3 * inst.normal(size=c1.total_params)
+        theta_star = embed_parameters(theta_prod, c1) + 0.3 * inst.normal(size=c1.total_params)
         state = prepare_state(c1, theta_star)
         seconds = [schmidt_spectrum(state, cut).singular_values[1] for cut in range(1, n)]
         if not 0.15 <= max(seconds) <= 0.40:

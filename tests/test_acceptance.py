@@ -68,7 +68,7 @@ def sat_runs():
         t = default_sat_time(len(sat.clauses))
         q = from_sat_instance(sat, t)
         config = OptimizerConfig(max_iters=500, tol_loss=1e-14, restarts=5, seed=600 + i)
-        result = run_sweep(6, 0, q, config, cert_tol=1e-7)
+        result = run_sweep(0, q, config, cert_tol=1e-7)
         runs.append((sat, t, q, result))
     return runs, time.perf_counter() - started
 
@@ -87,7 +87,7 @@ def planted_runs():
             restarts=10,
             seed=4000 + i,
         )
-        result = run_sweep(4, 1, q, config, cert_tol=1e-4)
+        result = run_sweep(1, q, config, cert_tol=1e-4)
         runs.append((q, result))
     return runs, time.perf_counter() - started
 
@@ -156,7 +156,7 @@ def test_criterion_05_rank_bound():
             theta = rng.uniform(0, 2 * np.pi, circuit.total_params)
             state = prepare_state(circuit, theta)
             for cut in range(1, n):
-                if schmidt_spectrum(state, cut, tol=1e-10).rank_eps > 2**k:
+                if schmidt_spectrum(state, cut).rank_eps > 2**k:
                     violations += 1
     report(5, violations == 0,
            f"{violations} rank violations over 200 random parameter draws")
@@ -200,7 +200,7 @@ def test_criterion_08_mps_round_trip():
     for i in range(50):
         n = 2 + i % 7
         state = random_state(np.random.default_rng((801, i)), n)
-        mps = statevector_to_mps(state, tol=1e-12)
+        mps = statevector_to_mps(state)
         out = mps_to_statevector(mps)
         worst_overlap = min(worst_overlap, abs(np.vdot(state.amplitudes, out.amplitudes)) ** 2)
         for t in mps.tensors:

@@ -252,15 +252,21 @@ def test_embedding_reproduces_previous_state():
         prev = build_mps_ansatz(n, k - 1)
         target = build_mps_ansatz(n, k)
         theta_prev = rng.uniform(0, 2 * np.pi, prev.total_params)
-        lifted = embed_parameters(prev, theta_prev, target)
+        lifted = embed_parameters(theta_prev, target)
         a = prepare_state(prev, theta_prev).amplitudes
         b = prepare_state(target, lifted).amplitudes
         assert abs(np.vdot(a, b)) > 1 - 1e-10
 
 
-def test_embedding_rejects_budget_mismatch():
-    with pytest.raises(ValidationError):
-        embed_parameters(build_mps_ansatz(4, 0), np.zeros(8), build_mps_ansatz(4, 2))
+def test_embedding_into_a_product_circuit_raises():
+    with pytest.raises(ValidationError, match="k=0"):
+        embed_parameters(np.zeros(8), build_mps_ansatz(4, 0))
+
+
+def test_embedding_rejects_a_wrong_length_theta():
+    # (4, 2) lifts from (4, 1), which has 3 blocks of 15 parameters; 8 fits only (4, 0)
+    with pytest.raises(ShapeError, match="45 parameters"):
+        embed_parameters(np.zeros(8), build_mps_ansatz(4, 2))
 
 
 def test_cnot_lower_bound_values():

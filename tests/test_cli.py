@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ghz
-from eigenmps import cli, tensor
+from eigenmps import cli, tensor, vqa
 from eigenmps.errors import CapacityError, NumericalError, ValidationError
 from eigenmps.simulator import zero_state
 from eigenmps.tensor import MpsState, mps_to_json, statevector_to_mps
@@ -73,6 +73,8 @@ def test_config_round_trip(tmp_path):
         pytest.param(lambda c: c["optimizer"].update(method="nelder-mead"), "method",
                      id="nelder-mead"),  # named, so the row above keeps its id
         (lambda c: c["optimizer"].update(tol_loss=-1e-9), "tol_loss"),
+        pytest.param(lambda c: c.update(oracle={"type": "planted"}), "requires a 'planted' object",
+                     id="planted-without-object"),
     ],
 )
 def test_config_validation_errors(tmp_path, mutate, fragment):
@@ -183,6 +185,22 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "main_run", lambda cfg: (_ for _ in ()).throw(NumericalError("boom")))
     assert cli.main(["run", config_path]) == 4
     capsys.readouterr()
+
+
+def test_a_non_finite_objective_exits_4_with_a_short_message(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(vqa, "loss_and_gradient", lambda circuit, theta, q: (math.nan, theta, 0.0))
+    config_path = write_json(tmp_path / "config.json", base_config(tmp_path))
+    assert cli.main(["run", config_path]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: objective returned nan at theta=[")
+    assert len(err) <= 200
+
+
+def test_dense_file_on_other_qubits_than_the_config_exits_2(tmp_path, capsys):
+    raw = base_config(tmp_path, n=2)
+    raw["oracle"]["path"] = identity_oracle_file(tmp_path, 1)
+    code, err = run_exit_code(tmp_path, capsys, raw)
+    assert code == 2 and "dense oracle is on 1 qubits, config says 2" in err
 
 
 def test_cli_overrides(tmp_path):
@@ -395,6 +413,19 @@ def test_negative_seed_or_shots_exits_2_before_the_oracle_is_built(
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert fragment in err
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--shots"])
+@pytest.mark.parametrize("value", ["x", "x" * 100_000, "1" * 5000], ids=["word", "long", "digits"])
+def test_a_rejected_run_flag_is_quoted_short(tmp_path, capsys, flag, value):
+    # argparse echoed the value whole: 100 160 characters for 100 000 (5000 digits: past int())
+    config_path = write_json(tmp_path / "config.json", base_config(tmp_path))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["run", config_path, flag, value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid int value" in err and "Traceback" not in err
+    assert len(err) <= 250
 
 
 @pytest.mark.parametrize("overrides, argv", [({"shots": 4611686018427387904}, []),
@@ -624,6 +655,9 @@ def test_format_error_inside_input_file_names_it(tmp_path, capsys, kind, text, f
 
 
 HUGE, LONG = 10**4000, "x" * 100_000
+NESTED = 1
+for _ in range(7):  # a list nested 7 deep, 7 items per level (7^7 leaves in JSON)
+    NESTED = [NESTED] * 7
 # every config field a check quotes, with the oracle spec that reads it
 QUOTED_FIELDS = [
     (None, ("n",)),
@@ -671,6 +705,10 @@ def _quoting_cases():
         yield pytest.param("config", (None, None), value, id=f"config-key-{tag}")
         for name, (kind, make) in QUOTED_FILES.items():
             yield pytest.param(kind, make, value, id=f"{name}-{tag}")
+    # one quoting level: a nested list was quoted 6 levels deep, about 392 000 characters
+    for path in (("oracle", "type"), ("optimizer", "method")):
+        yield pytest.param("config", (None, path), NESTED, id=f"{'.'.join(path)}-nested")
+    yield pytest.param("analyze", QUOTED_FILES["mps-shape"][1], NESTED, id="mps-shape-nested")
 
 
 @pytest.mark.parametrize("kind, target, value", _quoting_cases())

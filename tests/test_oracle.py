@@ -489,6 +489,8 @@ def test_parse_dimacs_comments_and_multiline_clauses():
         ("p cnf 2 1\n" + "1" * 5000 + " 0\n", "token too long for an integer"),
         ("p cnf 2 1\n" + "x" * 5000 + " 0\n", "non-integer token"),
         ("p cnf 2 " + "x" * 5000 + "\n", "non-integer counts"),
+        ("p cnf 3\n", "^line 1: malformed header 'p cnf 3'"),
+        ("c no header\n", "^line 1: missing 'p cnf' header"),
     ],
 )
 def test_parse_dimacs_errors(text, fragment):
@@ -501,6 +503,12 @@ def test_parse_dimacs_error_carries_line_number():
     with pytest.raises(DimacsError) as info:
         parse_dimacs("c ok\np cnf 2 1\n5 0\n")
     assert info.value.line == 3
+
+
+def test_to_matrix_of_a_diagonal_phase_oracle_is_its_diagonal():
+    q = from_sat_instance(SatInstance(3, ((1, -2), (2, 3))), 0.7)
+    assert q.kind == "diagonal-phase"
+    assert np.array_equal(to_matrix(q), np.diag(q.phases))
 
 
 def test_sat_instance_validation():

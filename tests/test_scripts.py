@@ -6,6 +6,9 @@ import re
 import subprocess
 import sys
 
+from eigenmps import cli
+from test_cli import base_config, write_json
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -35,3 +38,15 @@ def test_sat_ground_state_script():
     assert certificate and float(certificate.group(1)) >= 1.0 - 1e-6
     counts = re.search(r"violated clauses: (\d+) from the eigenphase, (\d+) by enumeration", out)
     assert counts and counts.group(1) == counts.group(2)
+
+
+def test_record_digests_script_ignores_what_differs_between_two_runs(tmp_path):
+    # one config run twice: other output path, wall times and timestamp, the same digest
+    config_path = write_json(tmp_path / "config.json", base_config(tmp_path))
+    records = [str(tmp_path / name) for name in ("a.json", "b.json")]
+    for record in records:
+        assert cli.main(["run", config_path, "--output", record]) == 0
+    lines = run_script("record_digests.py", *records).splitlines()
+    assert [line.split()[0] for line in lines] == records
+    digests = {line.split()[1] for line in lines}
+    assert len(digests) == 1 and re.fullmatch(r"[0-9a-f]{64}", digests.pop())

@@ -47,7 +47,7 @@ def test_every_objective_evaluation_builds_its_blocks_through_the_traced_name():
     q = BlackBoxUnitary(5, "diagonal-phase", phases=phases)
     tracer = Tracer()
     with tracer:
-        vqa.run_sweep(5, 0, q, vqa.OptimizerConfig(method="lbfgs", max_iters=20, seed=1))
+        vqa.run_sweep(0, q, vqa.OptimizerConfig(method="lbfgs", max_iters=20, seed=1))
     names = tracer.spans.names
     assert names.count("vqa.objective") > 1
     assert names.count("ansatz.block_matrices") == names.count("vqa.objective")

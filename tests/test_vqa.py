@@ -10,7 +10,7 @@ from conftest import moveaxis_apply, planted_recovery_instance, random_3sat, ran
 from eigenmps import vqa
 from eigenmps.ansatz import block_matrices, block_parameter_gradient, build_mps_ansatz
 from eigenmps.ansatz import prepare_state
-from eigenmps.errors import CapacityError, NumericalError, ValidationError
+from eigenmps.errors import CapacityError, NumericalError, ShapeError, ValidationError
 from eigenmps.oracle import BlackBoxUnitary, default_sat_time, from_sat_instance
 from eigenmps.oracle import apply as oracle_apply, apply_raw, from_dense_matrix, planted_unitary
 from eigenmps.oracle import from_hamiltonian_evolution, tfi_hamiltonian, to_matrix
@@ -239,6 +239,22 @@ def test_minimize_aborts_on_non_finite():
         minimize(lambda t: (math.inf, np.zeros(1), 0.0), np.array([0.5]), config)
 
 
+def test_the_non_finite_report_quotes_theta_short():
+    # at (14, 7) the message held all 458 745 parameters, 2 293 757 characters
+    theta = np.random.default_rng(3).uniform(0, 2 * np.pi, build_mps_ansatz(14, 7).total_params)
+    assert theta.size == 458_745
+    with pytest.raises(NumericalError) as info:
+        minimize(lambda t: (math.nan, t, 0.0), theta, OptimizerConfig())
+    assert str(info.value).startswith(f"objective returned nan at theta=[{float(theta[0])!r}, ")
+    assert len(str(info.value)) <= 200
+
+
+def test_objective_report_rejects_an_oracle_on_other_qubits():
+    circuit = build_mps_ansatz(3, 1)
+    with pytest.raises(ShapeError, match="oracle on 2 qubits"):
+        objective_report(circuit, np.zeros(circuit.total_params), from_dense_matrix(np.eye(4)))
+
+
 def test_spsa_and_fd_methods_run():
     target = np.array([0.3, -0.7, 1.1])
 
@@ -259,7 +275,7 @@ def test_fd_gradient_descent_at_zero_gradient():
     assert trace and trace[0] == (0, 0.25)
     assert theta.tolist() == [0.1, 0.2]
     # the identity oracle's loss is flat: the first budget reaches the certificate
-    result = run_sweep(4, 2, from_dense_matrix(np.eye(16)), config)
+    result = run_sweep(2, from_dense_matrix(np.eye(16)), config)
     entry = result.per_k[0]
     assert entry.trace and entry.trace[0][0] == 0 and entry.trace[0][1] < 1e-12
     assert result.terminated_early and len(result.per_k) == 1
@@ -284,7 +300,7 @@ def test_optimizer_config_validation():
 def test_run_sweep_identity_terminates_at_zero():
     q = from_dense_matrix(np.eye(16))
     config = OptimizerConfig(max_iters=50, restarts=1, seed=0)
-    result = run_sweep(4, 2, q, config)
+    result = run_sweep(2, q, config)
     assert result.terminated_early
     assert len(result.per_k) == 1
     entry = result.per_k[0]
@@ -296,7 +312,7 @@ def test_run_sweep_identity_terminates_at_zero():
 def test_run_sweep_validation():
     q = from_dense_matrix(np.eye(4))
     with pytest.raises(ValidationError):
-        run_sweep(2, 5, q, OptimizerConfig())
+        run_sweep(5, q, OptimizerConfig())
 
 
 def test_run_sweep_checks_the_widest_budget_before_the_first(monkeypatch):
@@ -304,7 +320,7 @@ def test_run_sweep_checks_the_widest_budget_before_the_first(monkeypatch):
     monkeypatch.setattr(vqa, "minimize", lambda *args, **kwargs: pytest.fail("a budget ran"))
     q = BlackBoxUnitary(18, "diagonal-phase", phases=np.ones(2**18, dtype=complex))
     with pytest.raises(CapacityError, match="k=8"):
-        run_sweep(18, 8, q, OptimizerConfig())
+        run_sweep(8, q, OptimizerConfig())
 
 
 def test_certificate_is_capped_at_one_and_passes_nan_through():
@@ -323,12 +339,12 @@ def _sweep_fingerprint(result):
 def test_run_sweep_deterministic_exact_and_shots():
     q = planted_recovery_instance(0)
     config = OptimizerConfig(method=None, max_iters=60, restarts=2, seed=77)
-    a = run_sweep(4, 1, q, config, cert_tol=1e-9)
-    b = run_sweep(4, 1, q, config, cert_tol=1e-9)
+    a = run_sweep(1, q, config, cert_tol=1e-9)
+    b = run_sweep(1, q, config, cert_tol=1e-9)
     assert _sweep_fingerprint(a) == _sweep_fingerprint(b)
     noisy_config = OptimizerConfig(max_iters=40, restarts=2, seed=78)
-    a = run_sweep(4, 1, q, noisy_config, cert_tol=1e-9, shots=128)
-    b = run_sweep(4, 1, q, noisy_config, cert_tol=1e-9, shots=128)
+    a = run_sweep(1, q, noisy_config, cert_tol=1e-9, shots=128)
+    b = run_sweep(1, q, noisy_config, cert_tol=1e-9, shots=128)
     assert _sweep_fingerprint(a) == _sweep_fingerprint(b)
 
 
@@ -337,7 +353,7 @@ def test_run_sweep_warm_start_monotone_certificates():
     config = OptimizerConfig(
         method="fd-gradient-descent", max_iters=150, tol_loss=1e-12, restarts=3, seed=11
     )
-    result = run_sweep(4, 2, q, config, cert_tol=1e-4)
+    result = run_sweep(2, q, config, cert_tol=1e-4)
     certs = [e.certificate for e in result.per_k]
     assert all(b >= a for a, b in zip(certs, certs[1:]))
 
