@@ -74,11 +74,9 @@ def _pauli_traces(mats: np.ndarray, width: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """One parameterized block: its window and its slice of the parameter vector."""
+    """One parameterized block: its window; block j owns row j of theta.reshape(B, -1)."""
 
     window: QubitWindow
-    param_offset: int
-    param_len: int
 
 
 @dataclass(frozen=True)
@@ -106,10 +104,7 @@ def build_mps_ansatz(n: int, k: int) -> AnsatzCircuit:
         raise CapacityError(f"ebit budget k={k} needs block width {k + 1} > cap {MAX_BLOCK_WIDTH}")
     width = k + 1
     per_block = 2 if k == 0 else 4**width - 1  # k = 0: one (t1, t2) pair per qubit
-    blocks = tuple(
-        BlockSpec(QubitWindow(tuple(range(j, j + width))), j * per_block, per_block)
-        for j in range(n - k)
-    )
+    blocks = tuple(BlockSpec(QubitWindow(tuple(range(j, j + width)))) for j in range(n - k))
     return AnsatzCircuit(n, k, blocks, (n - k) * per_block)
 
 

@@ -47,9 +47,8 @@ class Statevector:
 
 @dataclass(frozen=True)
 class QubitWindow:
-    """Ordered distinct qubit indices a block acts on.
+    """The run of consecutive ascending qubits j .. j+w-1 a block acts on, j >= 0.
 
-    The order fixes the tensor-index order of the applied block:
     targets[0] is the most significant bit of the block matrix index.
     """
 
@@ -60,9 +59,9 @@ class QubitWindow:
         object.__setattr__(self, "targets", targets)
         if not targets:
             raise ValidationError("window must contain at least one qubit")
-        if len(set(targets)) != len(targets):
-            raise ValidationError(f"window qubits must be distinct, got {targets}")
-        if min(targets) < 0:
+        if targets != tuple(range(targets[0], targets[0] + len(targets))):
+            raise ValidationError(f"window qubits must be consecutive and ascending, got {targets}")
+        if targets[0] < 0:
             raise ValidationError(f"window qubits must be non-negative, got {targets}")
 
     @property
@@ -119,22 +118,16 @@ def hermitian_exp(h: np.ndarray, t: float) -> np.ndarray:
 def apply_matrix_raw(amps: np.ndarray, n: int, matrix: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     """Unvalidated kernel behind apply_block; amps may stack vectors on leading axes.
 
-    A window of consecutive ascending qubits j .. j+w-1 (every staircase window) is one
-    matmul on a copy-free view: m on (..., 2^j, 2^w, rest), or m (x) I_rest on (-1, 2^w rest) once
-    rows 2^j > 2^w rest^2 (measured; rows = stacked vectors); other windows are transposed.
+    The window j .. j+w-1 (see QubitWindow) is one matmul on a copy-free view: m on
+    (..., 2^j, 2^w, rest), or m (x) I_rest on (-1, 2^w rest) once rows 2^j > 2^w rest^2
+    (measured; rows = stacked vectors).
     """
     lead, rows, w, j = amps.shape[:-1], amps.size >> n, len(targets), targets[0]
-    if targets == tuple(range(j, j + w)):
-        rest = 2 ** (n - j - w)
-        if rows * 2**j <= 2**w * rest**2:
-            return (matrix @ amps.reshape(*lead, 2**j, 2**w, rest)).reshape(amps.shape)
-        widened = (matrix[:, None, :, None] * np.eye(rest)[:, None]).reshape(2**w * rest, -1)
-        return (amps.reshape(-1, 2**w * rest) @ widened.T).reshape(amps.shape)
-    others = [i for i in range(n) if i not in targets]
-    axes = [*range(len(lead)), *(len(lead) + i for i in (*targets, *others))]
-    psi = amps.reshape(*lead, *(2,) * n).transpose(axes)
-    out = matrix @ psi.reshape(*lead, 2**w, -1)
-    return out.reshape(psi.shape).transpose(np.argsort(axes)).reshape(amps.shape)
+    rest = 2 ** (n - j - w)
+    if rows * 2**j <= 2**w * rest**2:
+        return (matrix @ amps.reshape(*lead, 2**j, 2**w, rest)).reshape(amps.shape)
+    widened = (matrix[:, None, :, None] * np.eye(rest)[:, None]).reshape(2**w * rest, -1)
+    return (amps.reshape(-1, 2**w * rest) @ widened.T).reshape(amps.shape)
 
 
 def apply_block(state: Statevector, u: DenseUnitary, window: QubitWindow) -> Statevector:
@@ -142,7 +135,7 @@ def apply_block(state: Statevector, u: DenseUnitary, window: QubitWindow) -> Sta
     w = window.width
     if u.dim != 2**w:
         raise ShapeError(f"block of dimension {u.dim} does not fit a {w}-qubit window")
-    if max(window.targets) >= state.n:
+    if window.targets[-1] >= state.n:
         raise ShapeError(f"window {window.targets} out of range for n={state.n}")
     return Statevector(state.n, apply_matrix_raw(state.amplitudes, state.n, u.entries, window.targets))
 

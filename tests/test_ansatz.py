@@ -62,15 +62,6 @@ def test_qubit_count_above_the_cap_raises_before_any_block_is_built(monkeypatch)
             build_mps_ansatz(n, 0)
 
 
-def test_parameter_tiling():
-    for n, k in [(4, 0), (5, 1), (6, 2)]:
-        c = build_mps_ansatz(n, k)
-        covered = []
-        for b in c.blocks:
-            covered.extend(range(b.param_offset, b.param_offset + b.param_len))
-        assert covered == list(range(c.total_params))
-
-
 def test_pauli_strings_order():
     assert pauli_strings(1) == ["X", "Y", "Z"]
     two = pauli_strings(2)
@@ -169,8 +160,9 @@ def test_block_wrappers_equal_block_matrices():
         theta = rng.uniform(0, 2 * np.pi, c.total_params)
         mats = block_matrices(c, theta)
         assert isinstance(mats, np.ndarray) and mats.shape == (len(c.blocks), *(2**(k + 1),) * 2)
-        for spec, m in zip(c.blocks, mats):
-            chunk = theta[spec.param_offset : spec.param_offset + spec.param_len]
+        per_block = 2 if k == 0 else 4 ** (k + 1) - 1  # block j owns theta[j P:(j + 1) P]
+        for j, (spec, m) in enumerate(zip(c.blocks, mats)):
+            chunk = theta[j * per_block:(j + 1) * per_block]
             if k == 0:
                 u = product_qubit_unitary(chunk[0], chunk[1])
             else:
@@ -185,14 +177,14 @@ def scalar_product_block(t1, t2):
     return np.array([[c, -s], [phase * s, phase * c]], dtype=np.complex128)
 
 
-def per_block_product_gradient(circuit, theta, windows):
+def per_block_product_gradient(theta, windows):
     """The k = 0 chain rule block by block: the reference for the batched one."""
     grad = np.empty_like(theta)
-    for spec, x in zip(circuit.blocks, windows):
-        chunk = theta[spec.param_offset : spec.param_offset + spec.param_len]
+    for j, x in enumerate(windows):  # block j owns the pair theta[2 j:2 j + 2]
+        chunk = theta[2 * j:2 * j + 2]
         turned = scalar_product_block(chunk[0] + 0.5 * np.pi, chunk[1])
         g = np.array([np.trace(turned @ x), -1j * scalar_product_block(*chunk)[1] @ x[:, 1]])
-        grad[spec.param_offset : spec.param_offset + spec.param_len] = 2.0 * g.real
+        grad[2 * j:2 * j + 2] = 2.0 * g.real
     return grad
 
 
@@ -205,7 +197,7 @@ def test_batched_product_blocks_and_chain_rule_equal_the_per_block_loop(n):
         windows = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
         blocks = [scalar_product_block(theta[2 * i], theta[2 * i + 1]) for i in range(n)]
         assert np.array_equal(block_matrices(c, theta), np.stack(blocks))
-        expected = per_block_product_gradient(c, theta, windows)
+        expected = per_block_product_gradient(theta, windows)
         assert np.array_equal(block_parameter_gradient(c, theta, windows), expected)
 
 

@@ -485,10 +485,12 @@ def test_parse_dimacs_comments_and_multiline_clauses():
         ("p cnf 2 1\n1 2\n", "unterminated"),
         ("p cnf 2 1\nx 0\n", "non-integer"),
         ("p cnf 2 1\np cnf 2 1\n", "duplicate"),
-        ("p cnf " + "1" * 5000 + " 1\n", "count too long for an integer"),
-        ("p cnf 2 1\n" + "1" * 5000 + " 0\n", "token too long for an integer"),
-        ("p cnf 2 1\n" + "x" * 5000 + " 0\n", "non-integer token"),
-        ("p cnf 2 " + "x" * 5000 + "\n", "non-integer counts"),
+        # short ids: pytest would otherwise name each of these cases after its 5000-character input
+        pytest.param("p cnf " + "1" * 5000 + " 1\n", "count too long for an integer", id="long-count"),
+        pytest.param("p cnf 2 1\n" + "1" * 5000 + " 0\n", "token too long for an integer",
+                     id="long-literal"),
+        pytest.param("p cnf 2 1\n" + "x" * 5000 + " 0\n", "non-integer token", id="long-word-literal"),
+        pytest.param("p cnf 2 " + "x" * 5000 + "\n", "non-integer counts", id="long-word-count"),
         ("p cnf 3\n", "^line 1: malformed header 'p cnf 3'"),
         ("c no header\n", "^line 1: missing 'p cnf' header"),
     ],

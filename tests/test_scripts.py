@@ -1,10 +1,15 @@
 """Smoke tests: each script in scripts/ runs to completion on small arguments."""
 
+import importlib.util
+import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import types
+
+import numpy as np
 
 from eigenmps import cli
 from test_cli import base_config, write_json
@@ -50,3 +55,40 @@ def test_record_digests_script_ignores_what_differs_between_two_runs(tmp_path):
     assert [line.split()[0] for line in lines] == records
     digests = {line.split()[1] for line in lines}
     assert len(digests) == 1 and re.fullmatch(r"[0-9a-f]{64}", digests.pop())
+
+
+STUB_RUN = """
+import json, sys
+args = sys.argv[1:]
+if args[args.index("--workload") + 1] == "tfi-shots" and args[args.index("--trace") + 1] == "1":
+    sys.exit("no traced operation completed")
+print("a progress line")
+print(json.dumps({"correct": True, "attempted": 2, "failed": 0, "argv": args}))
+"""
+
+
+def test_bench_snapshot_keeps_every_run_the_machine_and_the_digests(tmp_path, monkeypatch):
+    # a stub bench/run.py under a patched root: one run of the four exits 1 and prints no JSON
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(STUB_RUN)
+    write_json(tmp_path / "BENCHMARK.json", {"workloads": [{"name": "sat-product"}, {"name": "tfi-shots"}]})
+    spec = importlib.util.spec_from_file_location("bench_snapshot", ROOT / "scripts" / "bench_snapshot.py")
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    monkeypatch.setattr(snapshot, "ROOT", str(tmp_path))
+    stub_digests = types.SimpleNamespace(bench_digests=lambda seed: iter([("sat-product/0", f"d{seed}")]))
+    monkeypatch.setitem(sys.modules, "record_digests", stub_digests)
+    assert snapshot.main(["--label", "stub", "--seed", "7", "--digests"]) == 0
+    out = json.loads((tmp_path / "BENCH_stub.json").read_text())
+    assert out["label"] == "stub" and out["seed"] == 7 and "commit" in out
+    assert out["machine"]["cpu_count"] == os.cpu_count() and out["machine"]["numpy"] == np.__version__
+    assert sorted(out["machine"]["blas_threads"]) == ["MKL_NUM_THREADS", "OMP_NUM_THREADS",
+                                                      "OPENBLAS_NUM_THREADS"]
+    runs = [(r["workload"], r["trace"], r["exit_code"]) for r in out["runs"]]
+    assert runs == [("sat-product", 0, 0), ("sat-product", 1, 0), ("tfi-shots", 0, 0), ("tfi-shots", 1, 1)]
+    for run in out["runs"][:3]:
+        assert run["result"]["correct"] is True and "stderr_tail" not in run
+        assert run["result"]["argv"] == ["--workload", run["workload"], "--seed", "7", "--seconds", "55",
+                                         "--trace", str(run["trace"])]
+    assert out["runs"][3]["result"] is None and "no traced operation" in out["runs"][3]["stderr_tail"]
+    assert out["digests"] == {"sat-product/0": "d7"}
