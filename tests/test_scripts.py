@@ -71,16 +71,17 @@ def test_bench_snapshot_keeps_every_run_the_machine_and_the_digests(tmp_path, mo
     # a stub bench/run.py under a patched root: one run of the four exits 1 and prints no JSON
     (tmp_path / "bench").mkdir()
     (tmp_path / "bench" / "run.py").write_text(STUB_RUN)
-    write_json(tmp_path / "BENCHMARK.json", {"workloads": [{"name": "sat-product"}, {"name": "tfi-shots"}]})
+    write_json(tmp_path / "BENCHMARK.json", {"run_seconds": 3,
+                                             "workloads": [{"name": "sat-product"}, {"name": "tfi-shots"}]})
     spec = importlib.util.spec_from_file_location("bench_snapshot", ROOT / "scripts" / "bench_snapshot.py")
     snapshot = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(snapshot)
     monkeypatch.setattr(snapshot, "ROOT", str(tmp_path))
     stub_digests = types.SimpleNamespace(bench_digests=lambda seed: iter([("sat-product/0", f"d{seed}")]))
     monkeypatch.setitem(sys.modules, "record_digests", stub_digests)
-    assert snapshot.main(["--label", "stub", "--seed", "7", "--digests"]) == 0
+    assert snapshot.main(["--label", "stub"]) == 0
     out = json.loads((tmp_path / "BENCH_stub.json").read_text())
-    assert out["label"] == "stub" and out["seed"] == 7 and "commit" in out
+    assert out["label"] == "stub" and out["seed"] == 1 and "commit" in out
     assert out["machine"]["cpu_count"] == os.cpu_count() and out["machine"]["numpy"] == np.__version__
     assert sorted(out["machine"]["blas_threads"]) == ["MKL_NUM_THREADS", "OMP_NUM_THREADS",
                                                       "OPENBLAS_NUM_THREADS"]
@@ -88,7 +89,8 @@ def test_bench_snapshot_keeps_every_run_the_machine_and_the_digests(tmp_path, mo
     assert runs == [("sat-product", 0, 0), ("sat-product", 1, 0), ("tfi-shots", 0, 0), ("tfi-shots", 1, 1)]
     for run in out["runs"][:3]:
         assert run["result"]["correct"] is True and "stderr_tail" not in run
-        assert run["result"]["argv"] == ["--workload", run["workload"], "--seed", "7", "--seconds", "55",
+        assert run["command"] == [sys.executable, "bench/run.py", *run["result"]["argv"]]
+        assert run["result"]["argv"] == ["--workload", run["workload"], "--seed", "1", "--seconds", "3",
                                          "--trace", str(run["trace"])]
     assert out["runs"][3]["result"] is None and "no traced operation" in out["runs"][3]["stderr_tail"]
-    assert out["digests"] == {"sat-product/0": "d7"}
+    assert out["digests"] == {"sat-product/0": "d1"}
