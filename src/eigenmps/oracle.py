@@ -4,9 +4,9 @@ An oracle is one of two kinds: "dense", a 2^n x 2^n operator applied as a
 matrix-vector product, or "diagonal-phase", a 2^n phase vector applied
 elementwise without ever building a matrix.  Dense oracles come from matrix
 files, Hamiltonian evolution and planted constructions; SAT instances give
-diagonal-phase oracles.  When h commutes with flipping every qubit, the
-evolution keeps its two half-size flip sectors (FlipSectors) and applies as
-two half-size products; only to_matrix assembles the full U.  A planted
+diagonal-phase oracles.  When h commutes with flipping every qubit or reversing
+the qubit order, the evolution keeps the sectors of their group (Sectors) and
+applies one product per sector; only to_matrix assembles the full U.  A planted
 oracle makes a known ansatz state an exact eigenvector by conjugating a
 diagonal with a fixed unitary completion of that state (a Householder
 reflection mixed with a seeded unitary on the orthogonal complement); it is
@@ -18,10 +18,13 @@ means TRUE, so the all-zero register is the all-false assignment.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .ansatz import AnsatzCircuit, prepare_state
 from .errors import CapacityError, DimacsError, ShapeError, ValidationError, past_digit_limit, quote
@@ -55,39 +58,61 @@ class SatInstance:
                     )
 
 
-class FlipSectors:
-    """U = [[S, D J], [J D, J S J]] held as halves = (U+ / 2, U- / 2), S, D = U+/2 +- U-/2.
+class Sectors:
+    """exp(-i h t) kept on the sectors of a group G of basis permutations that h commutes with.
 
-    U+ and U- evolve the flip-even and flip-odd sectors; J reverses 2^(n-1)
-    indices.  U @ amps runs one half-size product per sector, half the flops and
-    memory of U; U.T is the transposed sectors, a view; np.array(sectors) assembles U.
+    group[i] is the i-th element as an index map, group[0] the identity; members[g, r] =
+    g(x_r) for each orbit's least element x_r.  Sector s of the character chi_s(g) = +-1
+    spans the x_r whose stabilizer G_r chi_s keeps at +1 (rows[s]), with basis vectors
+    sum_g chi_s(g) |g(x_r)> / sqrt(|G| |G_r|), so h_s[r, r'] = sum_g chi_s(g)
+    h[x_r, g(x_r')] / sqrt(|G_r| |G_r'|) and blocks[s] = exp(-i h_s t).  U @ amps gathers
+    amps[members], mixes them by the characters, runs one product per sector and scatters
+    back; U.T is the transposed blocks, views; np.array(sectors) assembles U.
     """
 
     __array_ufunc__ = None  # amps @ sectors raises TypeError rather than assembling U
 
-    def __init__(self, halves: np.ndarray):
-        self.halves = halves
-        self.shape = (2 * halves.shape[1],) * 2
-        self.dtype = halves.dtype
+    def __init__(self, h: np.ndarray, t: float, group: np.ndarray):
+        self.members = group[:, np.min(group, axis=0) == group[0]]
+        fixed = self.members == self.members[0]
+        stabilizer = np.count_nonzero(fixed, axis=0)
+        self.gather = 1.0 / np.sqrt(stabilizer)  # 1 on free orbits
+        self.scatter = stabilizer * self.gather / len(group)  # sqrt |G_r| / |G|, as gathered
+        chars = scipy.linalg.hadamard(len(group), dtype=float)  # chi_s(i): (-1)^popcount(s & i)
+        rows = [np.flatnonzero(~(fixed & (c[:, None] < 0)).any(axis=0)) for c in chars]
+        kept = [s for s, r in enumerate(rows) if len(r)]
+        self.chars, self.rows = chars[kept], [rows[s] for s in kept]
+        mixed = np.tensordot(self.chars, h[self.members[0][:, None, None], self.members], (1, 1))
+        self.blocks = [
+            hermitian_exp(m[np.ix_(r, r)] * self.gather[r] * self.gather[r, None], t)
+            for m, r in zip(mixed, self.rows)
+        ]
+        self.shape, self.dtype = h.shape, self.blocks[0].dtype
 
     @property
-    def T(self) -> FlipSectors:  # U^T = [[S^T, D^T J], [J D^T, J S^T J]]
-        return FlipSectors(self.halves.transpose(0, 2, 1))
+    def T(self) -> Sectors:
+        transposed = copy.copy(self)
+        transposed.blocks = [b.T for b in self.blocks]
+        return transposed
 
     def __matmul__(self, amps: np.ndarray) -> np.ndarray:
-        # top S a + D J c, bottom J (D a + S J c), with a, c the halves of amps
-        half = len(self.halves[0])
-        a, b = amps[:half], amps[half:][::-1]
-        x, y = self.halves[0] @ (a + b), self.halves[1] @ (a - b)
-        return np.concatenate([x + y, (x - y)[::-1]])
+        mixed = self.chars @ amps[self.members] * self.gather
+        out = np.zeros_like(mixed)
+        for s, (rows, block) in enumerate(zip(self.rows, self.blocks)):
+            out[s, rows] = block @ mixed[s, rows]
+        result = np.empty(len(amps), dtype=out.dtype)
+        result[self.members] = self.chars.T @ (out * self.scatter)
+        return result
 
     def __array__(self, dtype=None, copy=None):  # always a new array: U is assembled here
-        plus, minus = self.halves
-        half = len(plus)
+        # U[g(x_r), k(x_r')] = sum_s chi_s(g) chi_s(k) sqrt(|G_r| |G_r'|) U_s[r, r'] / |G|
+        weighted = np.zeros((len(self.chars),) + self.members.shape[1:] * 2, dtype=self.dtype)
+        for w, rows, u_s in zip(weighted, self.rows, self.blocks):
+            w[np.ix_(rows, rows)] = u_s * self.scatter[rows] * self.scatter[rows, None]
+        weighted *= len(self.members)
         u = np.empty(self.shape, dtype=self.dtype)
-        np.add(plus, minus, out=u[:half, :half])  # S
-        np.subtract(plus, minus, out=u[:half, half:][:, ::-1])  # D J
-        u[half:] = u[:half][::-1, ::-1]  # J [D, S J]: the top half reversed on both axes
+        for (g, x), (k, y) in itertools.product(enumerate(self.members), repeat=2):
+            u[np.ix_(x, y)] = np.tensordot(self.chars[:, g] * self.chars[:, k], weighted, 1)
         return u if dtype is None else u.astype(dtype, copy=False)
 
 
@@ -98,15 +123,15 @@ class BlackBoxUnitary:
     kind is the one discriminator: a "dense" oracle holds exactly its
     2^n x 2^n operator, a "diagonal-phase" oracle exactly its 2^n
     unit-modulus phase vector.  The dense operator is an ndarray, or the
-    FlipSectors of a flip-symmetric Hamiltonian evolution, which answers
-    U @ amps with two half-size products, gives U^T as .T and is assembled
-    into U only by to_matrix.  A planted oracle is dense and also keeps the
+    Sectors of a flip- or reflection-symmetric Hamiltonian evolution, which
+    answers U @ amps with one product per sector, gives U^T as .T and is
+    assembled into U only by to_matrix.  A planted oracle is dense and also keeps the
     planted eigenvector itself in planted_state, for ground-truth checks.
     """
 
     n: int
     kind: str
-    matrix: np.ndarray | FlipSectors | None = None
+    matrix: np.ndarray | Sectors | None = None
     phases: np.ndarray | None = None
     planted_state: np.ndarray | None = None
 
@@ -158,10 +183,10 @@ def from_dense_matrix(m: np.ndarray) -> BlackBoxUnitary:
 def from_hamiltonian_evolution(h: np.ndarray, t: float) -> BlackBoxUnitary:
     """exp(-i h t) by exact eigendecomposition; eigenvectors coincide with h's.
 
-    eigh runs in h's own dtype, real symmetric for the tfi preset; U is complex.
-    A flip-symmetric h (h == h[::-1, ::-1]; every tfi preset) is evolved as two
-    half-size sectors, which the oracle keeps as FlipSectors and applies as two
-    half-size products; U itself is never assembled here.
+    eigh runs in h's own dtype, real symmetric for the tfi preset; U is complex.  When h
+    commutes with the qubit flip F (h == h[::-1, ::-1]) or, at n >= 2, the qubit-order
+    reversal R (every tfi preset keeps both), one eigh runs per non-empty sector of their
+    group G, about 2^n / |G| wide, and the oracle keeps the Sectors; U is never assembled.
     """
     n = _dense_qubits(np.shape(h), "Hamiltonian")
     h = np.asarray(h, dtype=np.complex128 if np.iscomplexobj(h) else np.float64)
@@ -170,14 +195,14 @@ def from_hamiltonian_evolution(h: np.ndarray, t: float) -> BlackBoxUnitary:
         raise ValidationError(
             f"Hamiltonian is not Hermitian: Frobenius defect {defect:.3e} > {ORACLE_UNITARY_TOL:g}"
         )
-    if not np.array_equal(h, h[::-1, ::-1]):
+    index = np.arange(2**n)
+    group = [index] + ([index[::-1]] if np.array_equal(h, h[::-1, ::-1]) else [])
+    reverse = index.reshape((2,) * n).T.ravel()  # x with its n bits in reverse order
+    if n >= 2 and np.array_equal(h, h[np.ix_(reverse, reverse)]):
+        group += [g[reverse] for g in group]  # element i applies the generators in i's bits
+    if len(group) == 1:
         return BlackBoxUnitary(n, "dense", matrix=hermitian_exp(h, t))
-    # flipping maps x < half to 2^n - 1 - x, so h = [[A, B], [J B J, J A J]], J reversing
-    half = 2 ** (n - 1)
-    a, bj = h[:half, :half], h[:half, half:][:, ::-1]  # (v, +-J v) see the sectors A +- BJ
-    halves = np.stack([hermitian_exp(a + bj, t), hermitian_exp(a - bj, t)])
-    halves /= 2
-    return BlackBoxUnitary(n, "dense", matrix=FlipSectors(halves))
+    return BlackBoxUnitary(n, "dense", matrix=Sectors(h, t, np.array(group)))
 
 
 def tfi_hamiltonian(n: int, coupling: float, transverse: float) -> np.ndarray:

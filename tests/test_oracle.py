@@ -8,8 +8,8 @@ from eigenmps.ansatz import build_mps_ansatz
 from eigenmps.errors import CapacityError, DimacsError, ShapeError, ValidationError
 from eigenmps.oracle import (
     BlackBoxUnitary,
-    FlipSectors,
     SatInstance,
+    Sectors,
     apply,
     apply_raw,
     clause_violation_counts,
@@ -79,7 +79,7 @@ def test_dense_rejects_nan_entries():
     [
         (NAN_2X2, 1.0),
         (np.diag([1.0, -1.0]), np.nan),
-        (tfi_hamiltonian(3, 1.0, 1.0), np.nan),  # flip-symmetric: the half-size sectors see t
+        (tfi_hamiltonian(3, 1.0, 1.0), np.nan),  # symmetric: each sector sees t
     ],
 )
 def test_hamiltonian_evolution_rejects_nan(h, t):
@@ -205,21 +205,60 @@ def _eigh_spy(monkeypatch):
     return seen
 
 
+def _bit_reversal(n: int) -> np.ndarray:
+    return np.array([int(f"{x:0{n}b}"[::-1], 2) for x in range(2**n)])
+
+
+def _symmetries(h: np.ndarray) -> dict:
+    """The flip of every qubit and the reversal of the qubit order, where h commutes with them."""
+    n = len(h).bit_length() - 1
+    maps = {"flip": np.arange(len(h))[::-1], "reflection": _bit_reversal(n)}
+    if n == 1:  # reversing one qubit is the identity
+        del maps["reflection"]
+    return {name: g for name, g in maps.items() if np.array_equal(h, h[np.ix_(g, g)])}
+
+
+def _sector_sizes(h: np.ndarray) -> list[int]:
+    """Non-empty sector widths, sum_g chi_s(g) |fix g| / |G| over the symmetries' group."""
+    group = [np.arange(len(h))]
+    for g in _symmetries(h).values():
+        group += [e[g] for e in group]  # element i composes the generators in the bits of i
+    fixed = [np.count_nonzero(g == group[0]) for g in group]
+    sizes = [
+        sum((-1) ** bin(s & i).count("1") * f for i, f in enumerate(fixed)) // len(group)
+        for s in range(len(group))
+    ]
+    return sorted(size for size in sizes if size)
+
+
+def _assert_one_eigh_per_sector(seen: list, h: np.ndarray):
+    # one eigh per non-empty sector, in the dtype of h, with widths that sum to 2^n
+    assert [m.dtype for m in seen] == [h.dtype] * len(seen)
+    assert sorted(len(m) for m in seen) == _sector_sizes(h)
+    assert sum(len(m) for m in seen) == len(h)
+
+
 def test_hamiltonian_evolution_runs_eigh_in_the_dtype_of_h(monkeypatch):
     seen = _eigh_spy(monkeypatch)
     h = tfi_hamiltonian(3, 1.0, 1.0)  # integer entries, so astype(int) is exact
-    from_hamiltonian_evolution(h, 0.5)
-    from_hamiltonian_evolution(h.astype(int), 0.5)
-    from_hamiltonian_evolution(h.astype(complex), 0.5)
-    # the tfi chain is flip-symmetric, so each call runs one eigh per half-size sector
-    assert [m.dtype for m in seen] == [np.float64] * 4 + [np.complex128] * 2
-    assert all(m.shape == (4, 4) for m in seen)
+    for m, dtype in [(h, float), (h.astype(int), float), (h.astype(complex), complex)]:
+        del seen[:]
+        from_hamiltonian_evolution(m, 0.5)
+        _assert_one_eigh_per_sector(seen, m.astype(dtype))
+        assert len(seen) == 4  # the chain keeps the flip and the reflection: widths 3, 3, 1, 1
 
 
 def _reference_evolution(h: np.ndarray, t: float) -> np.ndarray:
     # independent of the sector split: one full-size eigendecomposition of h
     lam, vec = np.linalg.eigh(h)
     return (vec * np.exp(-1j * lam * t)) @ vec.conj().T
+
+
+def _assert_applies_as(q, reference: np.ndarray):
+    x = random_state(np.random.default_rng(len(reference)), q.n).amplitudes
+    assert np.max(np.abs(apply_raw(q, x) - reference @ x)) < 1e-12
+    assert np.max(np.abs(apply_raw(q, x, adjoint=True) - reference.conj().T @ x)) < 1e-12
+    assert np.max(np.abs(to_matrix(q) - reference)) < 1e-12
 
 
 def _flip_symmetric_hamiltonians():
@@ -242,48 +281,113 @@ def _flip_symmetric_hamiltonians():
 
 @pytest.mark.parametrize("h, t", _flip_symmetric_hamiltonians())
 def test_flip_symmetric_evolution_matches_a_full_size_reference(h, t, monkeypatch):
-    assert np.array_equal(h, h[::-1, ::-1])
+    assert "flip" in _symmetries(h)
     reference = _reference_evolution(h, t)
     seen = _eigh_spy(monkeypatch)
     u = to_matrix(from_hamiltonian_evolution(h, t))
-    assert [m.shape for m in seen] == [(len(h) // 2, len(h) // 2)] * 2
+    _assert_one_eigh_per_sector(seen, h)
     assert u.dtype == np.complex128
     assert np.max(np.abs(u - reference)) < 1e-12
 
 
 @pytest.mark.parametrize("h, t", _flip_symmetric_hamiltonians())
 def test_flip_sector_oracle_applies_as_the_full_size_reference(h, t):
-    reference = _reference_evolution(h, t)
     q = from_hamiltonian_evolution(h, t)
-    assert isinstance(q.matrix, FlipSectors)  # the sectors, never a full-size U
-    assert q.matrix.halves.shape == (2, len(h) // 2, len(h) // 2)
-    x = random_state(np.random.default_rng(len(h)), q.n).amplitudes
-    assert np.max(np.abs(apply_raw(q, x) - reference @ x)) < 1e-12
-    assert np.max(np.abs(apply_raw(q, x, adjoint=True) - reference.conj().T @ x)) < 1e-12
-    assert np.max(np.abs(to_matrix(q) - reference)) < 1e-12
+    assert isinstance(q.matrix, Sectors)  # the sectors, never a full-size U
+    assert sorted(len(b) for b in q.matrix.blocks) == _sector_sizes(h)
+    _assert_applies_as(q, _reference_evolution(h, t))
+
+
+def _longitudinal_field(n: int) -> np.ndarray:
+    # sum Z_i: flipping every qubit negates it, so a chain plus this term has no flip symmetry
+    index = np.arange(2**n)
+    return np.diag(n - 2.0 * np.array([bin(x).count("1") for x in index]))
+
+
+def _symmetric_hamiltonians():
+    """(h, t, the symmetries h keeps): groups of order 4, and of order 2 from either generator."""
+    chains = [(1.0, 0.7, 0.9), (-1.0, 1.3, 2.9), (1.0, 0.0, 1.7)]  # a negative coupling, no field
+    for n in range(2, 11):
+        for coupling, field, t in chains if n <= 8 else chains[:1]:  # one each at n = 9, 10
+            h = tfi_hamiltonian(n, coupling, field)
+            yield pytest.param(h, t, ("flip", "reflection"), id=f"tfi-{n}-{coupling}-{field}-{t}")
+    rng = np.random.default_rng(43)
+    for n in (3, 5):
+        m = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        m = m + m.conj().T
+        yield pytest.param(m + m[::-1, ::-1], 0.8, ("flip",), id=f"complex-flip-symmetric-{n}")
+    for n in (2, 4, 6):
+        h = tfi_hamiltonian(n, 1.0, 0.7) + 0.3 * _longitudinal_field(n)
+        yield pytest.param(h, 0.9, ("reflection",), id=f"tfi-longitudinal-{n}")
+
+
+@pytest.mark.parametrize("h, t, kept", _symmetric_hamiltonians())
+def test_evolution_runs_one_eigh_per_sector_of_the_symmetries_h_keeps(h, t, kept, monkeypatch):
+    assert tuple(_symmetries(h)) == kept
+    reference = _reference_evolution(h, t)
+    seen = _eigh_spy(monkeypatch)
+    q = from_hamiltonian_evolution(h, t)
+    _assert_one_eigh_per_sector(seen, h)
+    assert isinstance(q.matrix, Sectors) and len(q.matrix.blocks) == len(seen)
+    _assert_applies_as(q, reference)
+
+
+def _asymmetric_hamiltonians():
+    for n in (2, 5):
+        z0 = np.diag(1.0 - 2.0 * (np.arange(2**n) >> (n - 1)))  # Z on qubit 0 alone
+        yield pytest.param(tfi_hamiltonian(n, 1.0, 0.7) + 0.3 * z0, 0.9, id=f"tfi-z0-{n}")
+    a = np.random.default_rng(47).normal(size=(32, 32))
+    yield pytest.param(a + a.T, 0.8, id="random-symmetric")
+
+
+@pytest.mark.parametrize("h, t", _asymmetric_hamiltonians())
+def test_flip_asymmetric_evolution_runs_one_full_size_eigh(h, t, monkeypatch):
+    assert not _symmetries(h)  # neither the flip nor the reflection
+    reference = _reference_evolution(h, t)
+    seen = _eigh_spy(monkeypatch)
+    q = from_hamiltonian_evolution(h, t)
+    assert [m.shape for m in seen] == [h.shape] and seen[0].dtype == h.dtype
+    assert type(q.matrix) is np.ndarray  # U as a plain array
+    _assert_applies_as(q, reference)
+
+
+def test_two_qubit_chain_has_an_empty_sector():
+    # orbits {00, 11} and {01, 10}: each fixed by one of R and FR, so the character
+    # that is -1 on both of them spans nothing, and three sectors of widths 2, 1, 1 remain
+    h = tfi_hamiltonian(2, 1.0, 0.7)
+    q = from_hamiltonian_evolution(h, 0.9)
+    assert len(q.matrix.chars) == 3 and sorted(len(b) for b in q.matrix.blocks) == [1, 1, 2]
+    _assert_applies_as(q, _reference_evolution(h, 0.9))
 
 
 def test_flip_symmetric_oracle_keeps_about_half_the_memory_of_u():
-    # U at n=10 is 2^20 complex entries, 16 MB; the two sectors U+/2 and U-/2 are 8 MB
+    # U at n=10 is 2^20 complex entries, 16 MB.  The four sectors of the chain's
+    # flip-and-reflection group are 272, 256, 240 and 256 wide: 4.0 MB kept.  The build's
+    # peak is the reflection check's one gathered copy of h, 8 MB, and the comparison.
     h = tfi_hamiltonian(10, 1.0, 1.0)
     tracemalloc.start()
     try:
         q = from_hamiltonian_evolution(h, 1.0)
-        kept, _ = tracemalloc.get_traced_memory()
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert q.matrix.shape == h.shape
     assert kept <= 0.55 * 2**20 * 16
+    assert kept <= 0.3 * 2**20 * 16
+    assert peak <= 0.75 * 2**20 * 16
 
 
 def _row_times(amps: np.ndarray, m) -> np.ndarray:
-    """amps @ M, with a FlipSectors M paired on the right (the earlier FlipSectors.__rmatmul__)."""
+    """amps @ M, with Sectors M paired on the right: its gather and scatter, row products."""
     if isinstance(m, np.ndarray):
         return amps @ m
-    half = len(m.halves[0])
-    a, b = amps[..., :half], amps[..., half:][..., ::-1]
-    x, y = (a + b) @ m.halves[0], (a - b) @ m.halves[1]
-    return np.concatenate([x + y, (x - y)[..., ::-1]], axis=-1)
+    mixed = m.chars @ amps[m.members] * m.gather
+    out = np.zeros_like(mixed)
+    for s, (rows, block) in enumerate(zip(m.rows, m.blocks)):
+        out[s, rows] = mixed[s, rows] @ block
+    result = np.empty_like(amps)
+    result[m.members] = m.chars.T @ (out * m.scatter)
+    return result
 
 
 def _adjoint_oracles():
@@ -299,34 +403,10 @@ def test_dense_adjoint_through_the_transpose_is_bit_identical_to_the_row_product
     # conj(Q^T conj(x)) runs the same products as conj(conj(x) Q), so no record moves
     x = random_state(np.random.default_rng(q.n), q.n).amplitudes
     assert np.array_equal(apply_raw(q, x, adjoint=True), np.conj(_row_times(x.conj(), q.matrix)))
-    if isinstance(q.matrix, FlipSectors):
+    if isinstance(q.matrix, Sectors):
         assert np.array_equal(np.array(q.matrix.T), np.array(q.matrix).T)
         with pytest.raises(TypeError):  # no right-hand pairing: never a silently assembled U
             x @ q.matrix
-
-
-def _longitudinal_field(n: int) -> np.ndarray:
-    # sum Z_i: flipping every qubit negates it, so a chain plus this term has no flip symmetry
-    index = np.arange(2**n)
-    return np.diag(n - 2.0 * np.array([bin(x).count("1") for x in index]))
-
-
-def _flip_asymmetric_hamiltonians():
-    for n in (2, 4, 6):
-        h = tfi_hamiltonian(n, 1.0, 0.7) + 0.3 * _longitudinal_field(n)
-        yield pytest.param(h, 0.9, id=f"tfi-longitudinal-{n}")
-    a = np.random.default_rng(47).normal(size=(32, 32))
-    yield pytest.param(a + a.T, 0.8, id="random-symmetric")
-
-
-@pytest.mark.parametrize("h, t", _flip_asymmetric_hamiltonians())
-def test_flip_asymmetric_evolution_runs_one_full_size_eigh(h, t, monkeypatch):
-    assert not np.array_equal(h, h[::-1, ::-1])
-    reference = _reference_evolution(h, t)
-    seen = _eigh_spy(monkeypatch)
-    u = to_matrix(from_hamiltonian_evolution(h, t))
-    assert [m.shape for m in seen] == [h.shape]
-    assert np.max(np.abs(u - reference)) < 1e-12
 
 
 @pytest.mark.filterwarnings("error")  # the overflow is an error to report, not a warning
@@ -338,8 +418,8 @@ def test_flip_sector_evolution_rejects_overflowing_phases():
 
 def test_flip_sector_evolution_memory_stays_near_the_size_of_u():
     # U at n=10 is 2^20 complex entries, 16 MB; h itself is 8 MB.  A full-size eigh with
-    # a promoted complex product peaked at about 64 MB; the sectors and the in-place
-    # assembly stay at about 32 MB (h, U and the two half-size sectors).  The bound,
+    # a promoted complex product peaked at about 64 MB; the sectors stay at about 17 MB
+    # (h, the reflection check's copy of it, and the quarter-size sectors).  The bound,
     # 2.5 U, fails if a full-size temporary such as np.block or a promoted copy returns.
     tracemalloc.start()
     try:

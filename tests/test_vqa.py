@@ -383,7 +383,7 @@ def test_loss_and_gradient_matches_central_differences(n, k_share, dense, seed):
 
 
 def test_loss_and_gradient_on_a_flip_sector_oracle_matches_central_differences():
-    # the tfi oracle keeps its two flip sectors, so the adjoint apply runs through their .T
+    # the tfi oracle keeps its symmetry sectors, so the adjoint apply runs through their .T
     rng = np.random.default_rng(61)
     circuit = build_mps_ansatz(6, 1)
     q = from_hamiltonian_evolution(tfi_hamiltonian(6, 1.0, 0.7), 0.9)
