@@ -140,19 +140,20 @@ def product_qubit_unitary(theta1: float, theta2: float) -> DenseUnitary:
 
 
 def block_matrices(circuit: AnsatzCircuit, theta: np.ndarray) -> np.ndarray:
-    """Raw (B, 2^w, 2^w) block matrices at theta, skipping per-call unitarity validation.
+    """Raw (..., B, 2^w, 2^w) block matrices at theta (..., P), skipping per-call unitarity validation.
 
     Both parameterizations are unitary by construction; this is the kernel
-    the optimizer loop runs on.
+    the optimizer loop runs on.  A stack of vectors runs one batch, one eigh.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (circuit.total_params,):
+    if theta.shape[-1:] != (circuit.total_params,):
         raise ShapeError(
-            f"parameter vector of length {theta.size} does not match "
+            f"parameters of shape {theta.shape} do not match "
             f"circuit with {circuit.total_params} parameters"
         )
-    coeffs = theta.reshape(len(circuit.blocks), -1)  # (t1, t2) pairs when k = 0
-    return _product_blocks(coeffs) if circuit.k == 0 else _pauli_exponential(coeffs, circuit.k + 1)
+    coeffs = theta.reshape(-1, theta.shape[-1] // len(circuit.blocks))  # (t1, t2) pairs when k = 0
+    mats = _product_blocks(coeffs) if circuit.k == 0 else _pauli_exponential(coeffs, circuit.k + 1)
+    return mats.reshape(*theta.shape[:-1], len(circuit.blocks), *mats.shape[1:])
 
 
 def block_parameter_gradient(circuit: AnsatzCircuit, theta: np.ndarray, windows: list) -> np.ndarray:
@@ -181,11 +182,12 @@ def block_parameter_gradient(circuit: AnsatzCircuit, theta: np.ndarray, windows:
 def fused_windows(circuit: AnsatzCircuit, mats: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """(targets, matrix) per window in staircase order: a run of blocks on disjoint, adjacent windows
     (the k = 0 layer) is fused into their Kronecker product, up to FUSED_WIDTH qubits wide."""
-    windows = []
-    for spec, m in zip(circuit.blocks, mats):
+    windows, lead = [], mats.shape[:-3]  # (T,) for a stack of T circuits
+    for spec, m in zip(circuit.blocks, mats.swapaxes(0, -3)):
         targets, (run, fused) = spec.window.targets, windows[-1] if windows else ((), m)
-        if run[-1:] == (targets[0] - 1,) and len(fused) * len(m) <= 2**FUSED_WIDTH:
-            m = (fused[:, None, :, None] * m[:, None]).reshape(len(fused) * len(m), -1)  # fused (x) m
+        dim = fused.shape[-1] * m.shape[-1]
+        if run[-1:] == (targets[0] - 1,) and dim <= 2**FUSED_WIDTH:  # fused (x) m:
+            m = (fused[..., None, :, None] * m[..., None, :, None, :]).reshape(*lead, dim, dim)
             targets = run + targets
             windows.pop()
         windows.append((targets, m))
@@ -195,7 +197,7 @@ def fused_windows(circuit: AnsatzCircuit, mats: np.ndarray) -> list[tuple[tuple[
 def apply_staircase(n: int, windows: list, amps: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """U|amps> for U = the fused_windows in staircase order; with adjoint, U^dagger|amps>."""
     for targets, m in windows[::-1] if adjoint else windows:
-        amps = apply_matrix_raw(amps, n, m.conj().T if adjoint else m, targets)
+        amps = apply_matrix_raw(amps, n, m.conj().swapaxes(-1, -2) if adjoint else m, targets)
     return amps
 
 

@@ -309,10 +309,13 @@ def apply(q: BlackBoxUnitary, state: Statevector) -> Statevector:
 
 
 def apply_raw(q: BlackBoxUnitary, amps: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """Q|amps>, or Q^dagger|amps> with adjoint, on a raw amplitude array (no shape re-validation)."""
-    if q.kind == "dense":  # Q^dagger a as conj(Q^T conj(a)): no conjugated copy of the matrix
-        return np.conj(q.matrix.T @ amps.conj()) if adjoint else q.matrix @ amps
-    return (q.phases.conj() if adjoint else q.phases) * amps
+    """Q|amps>, or Q^dagger|amps> with adjoint, on raw amplitudes (no shape re-validation); a matrix
+    takes a (T, 2^n) stack row by row, as each row alone rounds (a stacked product saves nothing)."""
+    if q.kind != "dense":
+        return (q.phases.conj() if adjoint else q.phases) * amps
+    # Q^dagger a as conj(Q^T conj(a)): no conjugated copy of the matrix
+    product = (lambda a: np.conj(q.matrix.T @ a.conj())) if adjoint else q.matrix.__matmul__
+    return product(amps) if amps.ndim == 1 else np.stack([product(row) for row in amps])
 
 
 def to_matrix(q: BlackBoxUnitary) -> np.ndarray:

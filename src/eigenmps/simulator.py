@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ShapeError, ValidationError
+from .errors import CapacityError, NumericalError, ShapeError, ValidationError
 
 # Dense vectors stay cheap well past the scales used here; 2^20 amplitudes
 # is 16 MB.  Oracle construction, not the simulator, is the practical limit.
@@ -118,16 +118,18 @@ def hermitian_exp(h: np.ndarray, t: float) -> np.ndarray:
 def apply_matrix_raw(amps: np.ndarray, n: int, matrix: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     """Unvalidated kernel behind apply_block; amps may stack vectors on leading axes.
 
+    matrix is shared by every vector, or a (T, 2^w, 2^w) stack holds one per vector of (T, 2^n) amps.
     The window j .. j+w-1 (see QubitWindow) is one matmul on a copy-free view: m on
     (..., 2^j, 2^w, rest), or m (x) I_rest on (-1, 2^w rest) once rows 2^j > 2^w rest^2
-    (measured; rows = stacked vectors).
+    (measured; rows = vectors per matrix, so each stacked vector takes the form it takes alone).
     """
-    lead, rows, w, j = amps.shape[:-1], amps.size >> n, len(targets), targets[0]
-    rest = 2 ** (n - j - w)
+    lead, w, j = amps.shape[:-1], len(targets), targets[0]
+    rows, rest = (amps.size >> n) // (matrix.size >> 2 * w), 2 ** (n - j - w)
     if rows * 2**j <= 2**w * rest**2:
-        return (matrix @ amps.reshape(*lead, 2**j, 2**w, rest)).reshape(amps.shape)
-    widened = (matrix[:, None, :, None] * np.eye(rest)[:, None]).reshape(2**w * rest, -1)
-    return (amps.reshape(-1, 2**w * rest) @ widened.T).reshape(amps.shape)
+        return (matrix[..., None, :, :] @ amps.reshape(*lead, 2**j, 2**w, rest)).reshape(amps.shape)
+    stack, dim = matrix.shape[:-2], 2**w * rest
+    widened = (matrix[..., None, :, None] * np.eye(rest)[:, None]).reshape(*stack, dim, dim)
+    return (amps.reshape(*stack, -1, dim) @ widened.swapaxes(-1, -2)).reshape(amps.shape)
 
 
 def apply_block(state: Statevector, u: DenseUnitary, window: QubitWindow) -> Statevector:
@@ -141,7 +143,7 @@ def apply_block(state: Statevector, u: DenseUnitary, window: QubitWindow) -> Sta
 
 
 def qubit_zero_probs(amps: np.ndarray, n: int) -> np.ndarray:
-    """Per-qubit probability of reading 0: sum of |a_x|^2 over bit_i(x) = 0, for every i."""
+    """Per-qubit probability of reading 0: sum of |a_x|^2 over bit_i(x) = 0, for every i (and row)."""
     return _zero_sums(np.abs(amps) ** 2, n)
 
 
@@ -154,10 +156,10 @@ def _split_tables(n: int) -> list[np.ndarray]:
 
 
 def _zero_sums(weights: np.ndarray, n: int) -> np.ndarray:
-    """Sum of weights[x] over bit_i(x) = 0, for every qubit i: two small products over the split."""
+    """Sum of weights[..., x] over bit_i(x) = 0, for every qubit i: two small products over the split."""
     high, low = _split_tables(n)
-    sums = high.T @ weights.reshape(len(high), -1) @ low
-    return np.concatenate([sums[:-1, -1], sums[-1, :-1]])
+    sums = high.T @ weights.reshape(*weights.shape[:-1], len(high), -1) @ low
+    return np.concatenate([sums[..., :-1, -1], sums[..., -1, :-1]], axis=-1)
 
 
 def zero_weight(values: np.ndarray, n: int) -> np.ndarray:
@@ -183,16 +185,20 @@ def inner_product(a: Statevector, b: Statevector) -> complex:
 def sample_probs(state: Statevector, shots: int, seed: int) -> np.ndarray:
     """Shot-based estimates of the per-qubit |0> probabilities.
 
-    Draws `shots` full bitstrings from the joint distribution |a_x|^2 with a
-    seeded generator and returns, per qubit, the fraction of shots in which
-    that qubit read 0.  Reproducible given (seed, shots).
+    Draws `shots` full bitstrings from q = |a_x|^2 / norm with a seeded generator and returns, per
+    qubit, the fraction of shots in which that qubit read 0.  Reproducible given (seed, shots): the
+    draws are Generator.choice(2^n, shots, p=q)'s, which takes x for a uniform u in [cdf[x-1],
+    cdf[x]), cdf = q.cumsum() / its last entry: the uniforms below cdf[x] are the shots <= x.
     """
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
     if shots > MAX_SHOTS:
         raise CapacityError(f"shots exceeds the cap of {MAX_SHOTS}")
-    rng = np.random.default_rng(seed)
     p = np.abs(state.amplitudes) ** 2
-    outcomes = rng.choice(p.size, size=shots, p=p / p.sum())
-    ones = shots - _zero_sums(np.bincount(outcomes, minlength=p.size), state.n)
-    return 1.0 - ones / shots
+    if not 0.0 < (total := p.sum()) < np.inf:
+        raise NumericalError(f"cannot sample a state of squared norm {total}")
+    cdf = (p / total).cumsum()
+    cdf /= cdf[-1]
+    counts = np.sort(np.random.default_rng(seed).random(shots)).searchsorted(cdf)
+    counts[1:] -= counts[:-1].copy()  # at most x -> exactly x; np.diff would cost more than the search
+    return 1.0 - (shots - _zero_sums(counts, state.n)) / shots

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from conftest import ghz, moveaxis_apply, random_state, random_unitary
 from eigenmps.ansatz import _pauli_sum
-from eigenmps.errors import CapacityError, ShapeError, ValidationError
+from eigenmps.errors import CapacityError, NumericalError, ShapeError, ValidationError
 from eigenmps.oracle import tfi_hamiltonian
 from eigenmps.simulator import (
     MAX_SHOTS,
@@ -270,6 +270,13 @@ def test_sample_probs_above_the_shot_cap_is_refused_before_drawing():
         sample_probs(zero_state(2), MAX_SHOTS + 1, seed=0)
     with pytest.raises(CapacityError, match="shots"):
         sample_probs(zero_state(2), 4611686018427387904, seed=0)
+
+
+@pytest.mark.parametrize("amps", [[np.nan, 1.0], [0.0, 0.0], [np.inf, 1.0]], ids=["nan", "zero", "inf"])
+def test_sample_probs_refuses_a_state_without_a_finite_positive_norm(amps):
+    # numpy's sampler would raise ValueError, a traceback; NumericalError exits with code 4
+    with pytest.raises(NumericalError, match="squared norm"):
+        sample_probs(Statevector(1, np.array(amps, dtype=complex)), 10, seed=0)
 
 
 @pytest.mark.parametrize("n", range(1, 21))

@@ -13,7 +13,7 @@ from eigenmps.ansatz import prepare_state
 from eigenmps.errors import CapacityError, NumericalError, ShapeError, ValidationError
 from eigenmps.oracle import BlackBoxUnitary, default_sat_time, from_sat_instance
 from eigenmps.oracle import apply as oracle_apply, apply_raw, from_dense_matrix, planted_unitary
-from eigenmps.oracle import from_hamiltonian_evolution, tfi_hamiltonian, to_matrix
+from eigenmps.oracle import Sectors, from_hamiltonian_evolution, tfi_hamiltonian, to_matrix
 from eigenmps.simulator import inner_product, qubit_zero_probs, zero_state
 from eigenmps.vqa import (
     OptimizerConfig,
@@ -543,3 +543,150 @@ def test_loss_and_gradient_memory_does_not_grow_with_the_block_count():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**n * 16
+
+
+def stack_oracles(rng, n):
+    """A diagonal-phase oracle, a dense ndarray one and the tfi chain's sector one on n qubits."""
+    sectors = from_hamiltonian_evolution(tfi_hamiltonian(n, 1.0, 0.7), 0.45)
+    assert isinstance(sectors.matrix, Sectors)
+    return {"phase": random_oracle(rng, n, dense=False), "dense": random_oracle(rng, n, dense=True),
+            "sectors": sectors}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_a_stacked_forward_pass_is_bit_equal_row_by_row_to_one_pass_per_vector(k):
+    # at n = 9 every budget has windows of both apply_matrix_raw forms; k = 0 fuses its windows
+    n = 9
+    rng = np.random.default_rng((101, k))
+    circuit = build_mps_ansatz(n, k)
+    theta = rng.uniform(0, 2 * np.pi, circuit.total_params)
+    forms = {2**t[0] <= 2 ** len(t) * 4 ** (n - t[-1] - 1) for t, _ in vqa._forward(
+        circuit, theta, random_oracle(rng, n, dense=False))[1]}
+    assert forms == {True, False}
+    for name, q in stack_oracles(rng, n).items():
+        for rows in (1, 2, 5):
+            thetas = rng.uniform(0, 2 * np.pi, (rows, circuit.total_params))
+            mats, windows, *states = vqa._forward(circuit, thetas, q)
+            for t, theta in enumerate(thetas):
+                one_mats, one_windows, *one_states = vqa._forward(circuit, theta, q)
+                assert mats[t].tobytes() == one_mats.tobytes(), (name, rows)
+                assert [w for w, _ in windows] == [w for w, _ in one_windows]
+                for (_, m), (_, one) in zip(windows, one_windows):
+                    assert m[t].tobytes() == one.tobytes(), (name, rows)
+                for state, one in zip(states, one_states):  # prepared, kicked and psi
+                    assert state[t].tobytes() == one.tobytes(), (name, rows)
+
+
+def two_call_spsa(tracked, theta0, config):
+    """SPSA with its plus and minus points as two calls, plus first: the reference for the stack."""
+    rng = np.random.default_rng(config.seed)
+    theta = theta0.copy()
+    stability = 0.1 * config.max_iters
+    tracked(theta)
+    window_best = tracked.best_loss
+    for it in range(1, config.max_iters + 1):
+        ak, ck = 0.2 / (stability + it) ** 0.602, 0.1 / it**0.101
+        delta = rng.integers(0, 2, size=theta.size) * 2.0 - 1.0
+        plus = tracked(theta + ck * delta)
+        minus = tracked(theta - ck * delta)
+        theta = theta - ak * (plus - minus) / (2.0 * ck) * (1.0 / delta)
+        tracked.step()
+        if it % 50 == 0:
+            if window_best - tracked.best_loss < config.tol_loss:
+                break
+            window_best = tracked.best_loss
+    tracked(theta)
+
+
+@pytest.mark.parametrize("shots", [0, 64])
+def test_stacked_spsa_takes_the_steps_of_the_two_call_reference(shots):
+    rng = np.random.default_rng((103, shots))
+    circuit = build_mps_ansatz(6, 1)
+    q = random_oracle(rng, 6, dense=True)
+    theta0 = rng.uniform(0, 2 * np.pi, circuit.total_params)
+    config = OptimizerConfig(method="spsa", max_iters=120, tol_loss=1e-3, seed=9)
+    stacked, shapes = vqa._loss(circuit, q, shots, np.random.default_rng(5)), []
+
+    @functools.wraps(stacked)  # as bench/spans.py wraps it: max_rows is copied, the stack passes through
+    def objective(theta):
+        shapes.append(np.shape(theta))
+        return stacked(theta)
+
+    theta, trace = minimize(objective, theta0, config)
+    reference = vqa._Tracked(vqa._loss(circuit, q, shots, np.random.default_rng(5)))
+    two_call_spsa(reference, theta0, config)
+    assert theta.tobytes() == reference.best_theta.tobytes()
+    assert trace == reference.trace and len(trace) > 50
+    p = circuit.total_params
+    assert shapes == [(p,)] + [(2, p)] * (len(trace) - 1) + [(p,)]
+
+
+def test_fd_gradient_descent_on_stacks_takes_the_steps_of_one_vector_per_call():
+    rng = np.random.default_rng(107)
+    circuit = build_mps_ansatz(5, 1)
+    q = random_oracle(rng, 5, dense=True)
+    theta0 = rng.uniform(0, 2 * np.pi, circuit.total_params)
+    config = OptimizerConfig(method="fd-gradient-descent", max_iters=8)
+    stacked = vqa._loss(circuit, q)
+    assert stacked.max_rows >= 2 * circuit.total_params  # the whole gradient in one call
+    theta, trace = minimize(stacked, theta0, config)
+    one_by_one = minimize(lambda t: stacked(t), theta0, config)  # no max_rows: one vector per call
+    assert theta.tobytes() == one_by_one[0].tobytes() and trace == one_by_one[1]
+
+
+def test_a_stack_is_scored_in_row_order():
+    # a tie keeps the first row as the best point, and a non-finite report quotes the first such row
+    def flat(theta):
+        return np.zeros(len(theta)) if np.ndim(theta) == 2 else 0.0
+
+    def nan(theta):
+        return np.full(len(theta), math.nan)
+
+    flat.max_rows = nan.max_rows = 4
+    thetas = np.arange(6.0).reshape(3, 2)
+    tracked = vqa._Tracked(flat)
+    assert tracked(thetas).tolist() == [0.0, 0.0, 0.0]
+    assert tracked.best_theta.tolist() == [0.0, 1.0]
+    with pytest.raises(NumericalError, match=r"theta=\[0\.0, 1\.0\]"):
+        vqa._Tracked(nan)(thetas)
+
+def coordinate_loop_difference(fn, theta, step):
+    """Central differences one coordinate at a time, plus probe first: the reference for the stacks."""
+    grad = np.empty_like(theta)
+    for j in range(theta.size):
+        probe = np.zeros_like(theta)
+        probe[j] = step
+        grad[j] = (fn(theta + probe) - fn(theta - probe)) / (2.0 * step)
+    return grad
+
+
+@pytest.mark.parametrize("n, k, kind", [(4, 1, "dense"), (6, 2, "sectors"), (10, 2, "phase")])
+def test_loss_gradient_fd_is_bit_equal_to_the_coordinate_loop(n, k, kind):
+    rng = np.random.default_rng((109, n, k))
+    circuit = build_mps_ansatz(n, k)
+    q = stack_oracles(rng, n)[kind]
+    theta = rng.uniform(0, 2 * np.pi, circuit.total_params)
+    loss = lambda t: log_likelihood(probabilities(circuit, t, q))
+    expected = coordinate_loop_difference(loss, theta, 1e-5)
+    assert loss_gradient_fd(circuit, theta, q, 1e-5).tobytes() == expected.tobytes()
+    assert central_difference(loss, theta, 1e-5).tobytes() == expected.tobytes()
+
+
+def test_loss_gradient_fd_memory_stays_within_its_stack_bound():
+    # (8, 3) has 1275 parameters: its 2550 probes in one stack would hold 2550 x 5 block matrices
+    # of 16 x 16 (52 MB per array) besides the states
+    n, k = 8, 3
+    rng = np.random.default_rng(113)
+    circuit = build_mps_ansatz(n, k)
+    q = random_oracle(rng, n, dense=False)
+    theta = rng.uniform(0, 2 * np.pi, circuit.total_params)
+    rows = vqa._loss(circuit, q).max_rows
+    assert 8 * rows < 2 * circuit.total_params  # the probes run in chunks
+    loss_gradient_fd(circuit, theta, q, 1e-5)  # fills the lazy caches outside the traced call
+    tracemalloc.start()
+    try:
+        loss_gradient_fd(circuit, theta, q, 1e-5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * rows * (2**n + circuit.total_params) * 16  # 4.8 of these units measured
